@@ -54,11 +54,9 @@ generations), :mod:`repro.shard` (label-range shards, scatter-gather),
 (run-time graphs and L/H slots), :mod:`repro.core` (Topk, Topk-EN, DP-B,
 DP-P), :mod:`repro.twig` (general twig queries), :mod:`repro.gpm`
 (graph-pattern matching), :mod:`repro.workloads` (paper datasets/query
-sets), :mod:`repro.bench` (experiment harness).  :class:`TreeMatcher`
-remains as a deprecated shim.
+sets), :mod:`repro.bench` (experiment harness).
 """
 
-from repro.core.api import ALGORITHMS, TreeMatcher, top_k_tree_matches
 from repro.core.matches import Match
 from repro.engine import (
     BACKENDS,
@@ -69,6 +67,7 @@ from repro.engine import (
     QueryPlan,
     ResultStream,
 )
+from repro.engine.config import ALGORITHMS
 from repro.exceptions import (
     QueryError,
     QuerySyntaxError,
@@ -111,8 +110,6 @@ __all__ = [
     "QueryError",
     "QuerySyntaxError",
     "BACKENDS",
-    "TreeMatcher",
-    "top_k_tree_matches",
     "ALGORITHMS",
     "__version__",
 ]

@@ -1,6 +1,5 @@
 """Core top-k tree matching algorithms (the paper's contribution)."""
 
-from repro.core.api import ALGORITHMS, TreeMatcher, top_k_tree_matches
 from repro.core.baseline_dp import DPBEnumerator, dpb_matches
 from repro.core.baseline_dpp import DPPEnumerator, dpp_matches
 from repro.core.brute_force import all_matches, brute_force_topk
@@ -10,9 +9,6 @@ from repro.core.topk import TopkEnumerator, topk_matches
 from repro.core.topk_en import LazyTopkEngine, TopkEN, topk_en_matches
 
 __all__ = [
-    "TreeMatcher",
-    "top_k_tree_matches",
-    "ALGORITHMS",
     "Match",
     "MatchRef",
     "EnumerationStats",

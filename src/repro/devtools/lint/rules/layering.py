@@ -99,7 +99,7 @@ class LayeringRule(Rule):
                 continue
             if target.startswith(entry.name + "."):
                 # A package importing its own higher-layered submodule
-                # (repro.core -> repro.core.api) is the submodule's
+                # (repro.storage -> repro.storage.diskindex) is the submodule's
                 # problem, not the package's.
                 continue
             if target_entry.name in allowed:

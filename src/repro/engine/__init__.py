@@ -4,8 +4,7 @@ This package is the primary public API of the reproduction.  See
 :class:`MatchEngine` for the tour; :mod:`repro.engine.backends` for the
 five reachability backends; :mod:`repro.engine.planner` for the
 ``algorithm="auto"`` rules; :mod:`repro.engine.stream` for lazy result
-consumption.  The older :class:`repro.TreeMatcher` facade is a deprecated
-shim over this engine.
+consumption.
 """
 
 from repro.engine.backends import (

@@ -77,7 +77,7 @@ class ReachabilityBackend(Protocol):
         """The store object the enumerators consume."""
         ...
 
-    def statistics(self) -> dict:
+    def stats(self) -> dict:
         """Size/cost statistics of the offline artifacts."""
         ...
 
@@ -150,17 +150,16 @@ class _BackendBase:
         """The 2-hop index, when this backend keeps one."""
         return None
 
-    def statistics(self) -> dict:
-        return {"backend": self.name, "build_seconds": self.build_seconds}
-
     def stats(self) -> dict:
-        """Uniform offline-artifact statistics, identical keys everywhere.
+        """Offline-artifact statistics: a uniform core plus backend extras.
 
         Every backend reports ``backend``, ``build_seconds``,
         ``pair_count`` (materialized reachability pairs or label entries)
         and ``bytes_estimate`` (measured resident bytes of the offline
         artifacts) — the schema the bench suite and the serving layer
-        consume without per-backend special cases.
+        consume without per-backend special cases.  Subclasses append
+        their own size/cache counters (``closure_pairs``, table entry
+        counts, ...), which :meth:`MatchEngine.statistics` reports.
         """
         store_stats = self._store.stats() if self._store is not None else {}
         return {
@@ -227,17 +226,13 @@ class FullClosureBackend(_BackendBase):
     def closure(self) -> TransitiveClosure:
         return self._closure
 
-    def statistics(self) -> dict:
-        stats = super().statistics()
-        stats["closure_pairs"] = self._closure.num_pairs
-        stats.update(self._store.size_statistics())
-        return stats
-
     def stats(self) -> dict:
         stats = super().stats()
         closure_stats = self._closure.stats()
         stats["pair_count"] = closure_stats["pair_count"]
         stats["bytes_estimate"] += closure_stats["bytes_estimate"]
+        stats["closure_pairs"] = self._closure.num_pairs
+        stats.update(self._store.size_statistics())
         return stats
 
     def describe(self) -> str:
@@ -274,8 +269,8 @@ class OnDemandBackend(_BackendBase):
     def distance_index(self) -> PrunedLandmarkIndex:
         return self._store.distance_index
 
-    def statistics(self) -> dict:
-        stats = super().statistics()
+    def stats(self) -> dict:
+        stats = super().stats()
         stats.update(self._store.cache_statistics())
         return stats
 
@@ -326,8 +321,8 @@ class HybridBackend(_BackendBase):
     def distance_index(self) -> PrunedLandmarkIndex:
         return self._store.distance_index
 
-    def statistics(self) -> dict:
-        stats = super().statistics()
+    def stats(self) -> dict:
+        stats = super().stats()
         stats.update(self._store.storage_statistics())
         return stats
 
@@ -450,18 +445,14 @@ class ConstrainedBackend(_BackendBase):
     def closure(self) -> TransitiveClosure:
         return self._closure
 
-    def statistics(self) -> dict:
-        stats = super().statistics()
-        stats["closure_pairs"] = self._closure.num_pairs
-        stats["partial"] = self._closure.is_partial
-        stats.update(self._store.size_statistics())
-        return stats
-
     def stats(self) -> dict:
         stats = super().stats()
         closure_stats = self._closure.stats()
         stats["pair_count"] = closure_stats["pair_count"]
         stats["bytes_estimate"] += closure_stats["bytes_estimate"]
+        stats["closure_pairs"] = self._closure.num_pairs
+        stats["partial"] = self._closure.is_partial
+        stats.update(self._store.size_statistics())
         return stats
 
     def describe(self) -> str:

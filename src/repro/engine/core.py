@@ -164,8 +164,14 @@ class MatchEngine:
         return self._backend.closure
 
     def statistics(self) -> dict:
-        """Backend/offline statistics (size, build time, cache usage)."""
-        return self._backend.statistics()
+        """Backend/offline statistics (size, build time, cache usage).
+
+        The backend's :meth:`stats` without its uniform ``pair_count`` /
+        ``bytes_estimate`` core, which ``backend.stats()`` serves.
+        """
+        stats = self._backend.stats()
+        del stats["pair_count"], stats["bytes_estimate"]
+        return stats
 
     def compile(self, query) -> CompiledQuery:
         """Normalize any query form through :func:`repro.query.compile_query`.

@@ -76,6 +76,10 @@ class LRUCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def summary(self) -> dict:
+        """Size, capacity and counters: one ``statistics()`` cache entry."""
+        return {"entries": len(self), "capacity": self.capacity, **self.stats.as_dict()}
+
     def get(self, key: Hashable):
         """The cached value, or ``None`` (counts a hit/miss)."""
         with self._lock:

@@ -48,15 +48,13 @@ Design:
 
 from __future__ import annotations
 
-import threading
+import inspect
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from repro.core.matches import Match
 from repro.delta.compactor import CompactionPolicy, Compactor
-from repro.devtools.lockcheck import make_lock
 from repro.delta.generations import GenerationStore, resolve_index_path
 from repro.delta.log import DeltaLog
 from repro.delta.records import (
@@ -64,27 +62,22 @@ from repro.delta.records import (
     EdgeRemove,
     LabelChange,
     NodeAdd,
-    records_from_updates,
 )
 from repro.delta.view import apply_records, fold
 from repro.delta.wal import WriteAheadLog
 from repro.engine.config import EngineConfig
 from repro.engine.core import MatchEngine
 from repro.engine.planner import QueryPlan, config_fingerprint
-from repro.exceptions import (
-    DeadlineExceededError,
-    GraphError,
-    ServiceClosedError,
-    ServiceError,
-    ServiceOverloadedError,
-)
+from repro.exceptions import GraphError, ServiceError
 from repro.query.compiler import compile_query
 from repro.service.cache import LRUCache, ResultCache
+from repro.service.front import _ServiceFront
 from repro.service.snapshot import (
     Snapshot,
     UpdateReport,
     cacheable_dsl,
     query_label_footprint,
+    update_records,
 )
 
 
@@ -108,7 +101,7 @@ class ServiceResponse:
     elapsed_seconds: float
 
 
-class MatchService:
+class MatchService(_ServiceFront):
     """Concurrent top-k matching over snapshot-isolated engines.
 
     Parameters
@@ -177,30 +170,15 @@ class MatchService:
         _engine: MatchEngine | None = None,
         **overrides,
     ) -> None:
-        if max_workers <= 0:
-            raise ServiceError(f"max_workers must be positive, got {max_workers}")
-        if max_pending is None:
-            max_pending = 8 * max_workers
-        if max_pending <= 0:
-            raise ServiceError(f"max_pending must be positive, got {max_pending}")
-        if default_deadline is not None and default_deadline <= 0:
-            raise ServiceError(
-                f"default_deadline must be positive, got {default_deadline}"
-            )
+        super().__init__(
+            max_workers, max_pending, default_deadline, update_policy,
+            delta_batch_limit,
+        )
         if plan_cache_size < 0 or result_cache_size < 0:
             raise ServiceError(
                 "cache sizes must be >= 0 (0 disables a cache), got "
                 f"plan_cache_size={plan_cache_size}, "
                 f"result_cache_size={result_cache_size}"
-            )
-        if update_policy not in ("auto", "delta", "eager"):
-            raise ServiceError(
-                'update_policy must be "auto", "delta", or "eager", got '
-                f"{update_policy!r}"
-            )
-        if delta_batch_limit < 1:
-            raise ServiceError(
-                f"delta_batch_limit must be >= 1, got {delta_batch_limit}"
             )
         if _engine is not None:
             # Adopted pre-built engine (the from_index cold-start path):
@@ -224,28 +202,9 @@ class MatchService:
         # inserts under the old generation, which no later reader asks
         # for — a bare clear() alone cannot prevent that re-insert.
         self._plan_generation = 0
-        self.max_workers = max_workers
-        self.max_pending = max_pending
-        self.default_deadline = default_deadline
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="matchservice"
-        )
-        self._slots = threading.BoundedSemaphore(max_pending)
-        self._update_lock = make_lock("service.update")
-        self._closed = False
-        # Monotonic counters; guarded by a lock so the consistency
-        # identities the stress tests assert (e.g. result-cache lookups
-        # == cacheable requests) hold exactly under contention.
-        self._stats_lock = make_lock("service.stats")
-        self._requests = 0
         self._uncacheable = 0
-        self._deadline_misses = 0
-        self._overload_rejections = 0
-        self._updates_applied = 0
 
         # -- write-ahead delta overlay state -----------------------------
-        self.update_policy = update_policy
-        self.delta_batch_limit = delta_batch_limit
         self._gen_store = (
             GenerationStore(generation_base)
             if generation_base is not None
@@ -268,11 +227,8 @@ class MatchService:
         )
         self._auto_compact = auto_compact
         self._compactor: Compactor | None = None
-        self._delta_updates = 0
-        self._eager_updates = 0
         self._materializations = 0
         self._last_materialize_seconds = 0.0
-        self._compactions = 0
         self._last_compaction_seconds = 0.0
         self._records_since_compaction = 0
         if wal is not None and wal.recovered_records:
@@ -287,10 +243,6 @@ class MatchService:
                 )
             else:
                 self._replay_recovered(wal.recovered_records)
-
-    def _count(self, counter: str) -> None:
-        with self._stats_lock:
-            setattr(self, counter, getattr(self, counter) + 1)
 
     def _replay_recovered(self, records) -> None:
         """Adopt WAL-recovered records as a pending overlay (boot path).
@@ -331,12 +283,10 @@ class MatchService:
             from repro.service.sharded import ShardedMatchService
 
             return ShardedMatchService.from_manifest(path, **kwargs)
-        service_keys = (
-            "plan_cache_size", "result_cache_size", "max_workers",
-            "max_pending", "default_deadline", "update_policy",
-            "delta_batch_limit", "wal_path", "compaction", "auto_compact",
-            "generation_base",
-        )
+        # Every keyword the service itself takes; the rest configure the engine.
+        service_keys = set(inspect.signature(cls).parameters) - {
+            "graph", "config", "_engine", "overrides",
+        }
         service_kwargs = {
             key: kwargs.pop(key) for key in service_keys if key in kwargs
         }
@@ -364,80 +314,55 @@ class MatchService:
         """Logical epoch: bumped by every update, folded or pending."""
         return self._snapshot.epoch + self._pending_batches
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def statistics(self) -> dict:
         """Serving counters: requests, cache hit rates, update history."""
         base = self._snapshot
         graph = self._pending_graph or base.graph
         pending = self._log.pending_records
         base_size = base.graph.num_nodes + base.graph.num_edges
+        stats = self._front_statistics()
+        stats["delta"].update(
+            pending_records=pending,
+            pending_batches=self._pending_batches,
+            overlay_base_ratio=pending / max(1, base_size),
+            materializations=self._materializations,
+            last_materialize_seconds=self._last_materialize_seconds,
+            last_compaction_seconds=self._last_compaction_seconds,
+            records_since_compaction=self._records_since_compaction,
+            wal=None if self._log.wal is None else self._log.wal.stats(),
+            generations=(
+                None if self._gen_store is None else self._gen_store.stats()
+            ),
+            compactor=(
+                None if self._compactor is None else self._compactor.stats()
+            ),
+        )
         return {
-            "epoch": self.epoch,
+            **stats,
             "backend": base.engine.backend_name,
             "graph_nodes": graph.num_nodes,
             "graph_edges": graph.num_edges,
-            "requests": self._requests,
             "uncacheable_requests": self._uncacheable,
-            "deadline_misses": self._deadline_misses,
-            "overload_rejections": self._overload_rejections,
-            "updates_applied": self._updates_applied,
-            "max_workers": self.max_workers,
-            "max_pending": self.max_pending,
-            "compile_cache": {
-                "entries": len(self._compiled),
-                "capacity": self._compiled.capacity,
-                **self._compiled.stats.as_dict(),
-            },
-            "plan_cache": {
-                "entries": len(self._plans),
-                "capacity": self._plans.capacity,
-                **self._plans.stats.as_dict(),
-            },
-            "result_cache": {
-                "entries": len(self._results),
-                "capacity": self._results.capacity,
-                **self._results.stats.as_dict(),
-            },
-            "delta": {
-                "policy": self.update_policy,
-                "batch_limit": self.delta_batch_limit,
-                "pending_records": pending,
-                "pending_batches": self._pending_batches,
-                "overlay_base_ratio": pending / max(1, base_size),
-                "delta_updates": self._delta_updates,
-                "eager_updates": self._eager_updates,
-                "materializations": self._materializations,
-                "last_materialize_seconds": self._last_materialize_seconds,
-                "compactions": self._compactions,
-                "last_compaction_seconds": self._last_compaction_seconds,
-                "records_since_compaction": self._records_since_compaction,
-                "wal": None if self._log.wal is None else self._log.wal.stats(),
-                "generations": (
-                    None if self._gen_store is None else self._gen_store.stats()
-                ),
-                "compactor": (
-                    None if self._compactor is None else self._compactor.stats()
-                ),
-            },
+            "compile_cache": self._compiled.summary(),
+            "plan_cache": self._plans.summary(),
+            "result_cache": self._results.summary(),
         }
 
     # ------------------------------------------------------------------
     # Request execution
     # ------------------------------------------------------------------
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ServiceClosedError("this MatchService has been closed")
-
     def _answer(
-        self, snapshot: Snapshot, query, k: int, algorithm: str | None
+        self, query, k: int, algorithm: str | None, expires_at=None
     ) -> ServiceResponse:
-        """Answer one request entirely against ``snapshot``."""
+        """Answer one request entirely against the newest snapshot.
+
+        ``expires_at`` only bounds queue wait (checked before this runs);
+        an in-process answer is never cut short.
+        """
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
         started = time.perf_counter()
+        snapshot = self._read_snapshot()
         engine = snapshot.engine
         if isinstance(query, str):
             cached_compile = self._compiled.get(query)
@@ -520,102 +445,10 @@ class MatchService:
             elapsed_seconds=time.perf_counter() - started,
         )
 
-    def top_k(self, query, k: int, algorithm: str | None = None) -> list[Match]:
-        """Synchronous top-k on the caller's thread (mirrors the engine API).
-
-        Runs against the newest snapshot and feeds/serves the caches like
-        every other request.
-        """
-        self._check_open()
-        return list(self._answer(self._read_snapshot(), query, k, algorithm).matches)
-
     def request(self, query, k: int, algorithm: str | None = None) -> ServiceResponse:
         """Like :meth:`top_k` but returns the full :class:`ServiceResponse`."""
         self._check_open()
-        return self._answer(self._read_snapshot(), query, k, algorithm)
-
-    # ------------------------------------------------------------------
-    # Asynchronous execution over the bounded pool
-    # ------------------------------------------------------------------
-    def _run_request(
-        self, query, k: int, algorithm: str | None, expires_at: float | None
-    ) -> ServiceResponse:
-        if expires_at is not None and time.monotonic() > expires_at:
-            self._count("_deadline_misses")
-            raise DeadlineExceededError(
-                "request deadline expired while queued "
-                f"(deadline was {expires_at:.3f} on the monotonic clock)"
-            )
-        return self._answer(self._read_snapshot(), query, k, algorithm)
-
-    def _submit(
-        self,
-        query,
-        k: int,
-        algorithm: str | None,
-        deadline: float | None,
-        block: bool,
-    ) -> Future:
-        self._check_open()
-        if deadline is None:
-            deadline = self.default_deadline
-        if deadline is not None and deadline <= 0:
-            raise ServiceError(f"deadline must be positive, got {deadline}")
-        expires_at = None if deadline is None else time.monotonic() + deadline
-        if not self._slots.acquire(blocking=block):
-            self._count("_overload_rejections")
-            raise ServiceOverloadedError(
-                f"request queue is full ({self.max_pending} in flight); "
-                "back off and retry"
-            )
-        try:
-            future = self._pool.submit(
-                self._run_request, query, k, algorithm, expires_at
-            )
-        except RuntimeError as exc:  # pool shut down concurrently
-            self._slots.release()
-            raise ServiceClosedError("this MatchService has been closed") from exc
-        # Release the slot from a done callback, not inside the task
-        # body: a cancelled still-queued future never runs its task, and
-        # the callback is the one hook that fires exactly once for
-        # completion, failure, and cancellation alike.
-        future.add_done_callback(lambda _finished: self._slots.release())
-        return future
-
-    def submit(
-        self,
-        query,
-        k: int,
-        algorithm: str | None = None,
-        deadline: float | None = None,
-    ) -> Future:
-        """Queue one request; the future resolves to a :class:`ServiceResponse`.
-
-        Fails fast with :class:`ServiceOverloadedError` when ``max_pending``
-        requests are already in flight.  ``deadline`` (seconds) bounds
-        queue wait: a request picked up past its deadline fails with
-        :class:`DeadlineExceededError` instead of executing.
-        """
-        return self._submit(query, k, algorithm, deadline, block=False)
-
-    def batch(
-        self,
-        queries,
-        k: int,
-        algorithm: str | None = None,
-        deadline: float | None = None,
-    ) -> list[list[Match]]:
-        """Answer many queries through the worker pool, in input order.
-
-        Applies back-pressure: when the queue is full, enqueueing blocks
-        instead of raising.  The first failed request propagates (the
-        rest still complete in the pool).
-        """
-        futures = [
-            self._submit(query, k, algorithm, deadline, block=True)
-            for query in queries
-        ]
-        return [list(future.result().matches) for future in futures]
+        return self._answer(query, k, algorithm)
 
     # ------------------------------------------------------------------
     # Updates and invalidation
@@ -691,22 +524,15 @@ class MatchService:
         """
         with self._update_lock:
             self._check_open()
-            try:
-                records = records_from_updates(
-                    edges_added, edges_removed, nodes_added, labels_changed
-                )
-            except (TypeError, ValueError, IndexError) as exc:
-                raise ServiceError(f"invalid graph update: {exc}") from exc
+            records = update_records(
+                edges_added, edges_removed, nodes_added, labels_changed
+            )
             if not records:
                 raise ServiceError(
                     "apply_updates needs at least one change (edges_added, "
                     "edges_removed, nodes_added, or labels_changed)"
                 )
-            use_delta = self.update_policy == "delta" or (
-                self.update_policy == "auto"
-                and len(records) <= self.delta_batch_limit
-            )
-            if use_delta:
+            if self._use_delta(records):
                 return self._apply_delta_locked(records)
             return self._apply_eager_locked(
                 edges_added, edges_removed, nodes_added, labels_changed,
@@ -763,12 +589,8 @@ class MatchService:
         if n_nodes or n_labels:
             # Cleared eagerly (not at materialization): a plan computed
             # between this append and the fold would otherwise bake in
-            # stale label candidate counts.  The bump takes _stats_lock
-            # because invalidate_plans() increments concurrently without
-            # holding _update_lock.
-            with self._stats_lock:
-                self._plan_generation += 1
-            report.plans_cleared = self._plans.clear()
+            # stale label candidate counts.
+            report.plans_cleared = self.invalidate_plans()
         self._count("_updates_applied")
         self._count("_delta_updates")
         self._ensure_compactor()
@@ -801,11 +623,7 @@ class MatchService:
         report.results_migrated = migrated
         report.results_dropped = dropped
         if report.nodes_added or report.labels_changed:
-            # Same race as the delta path: invalidate_plans() bumps this
-            # counter under _stats_lock only.
-            with self._stats_lock:
-                self._plan_generation += 1
-            report.plans_cleared = self._plans.clear()
+            report.plans_cleared = self.invalidate_plans()
         self._snapshot = snapshot
         with self._stats_lock:
             self._records_since_compaction += len(records)
@@ -899,7 +717,12 @@ class MatchService:
         return self._results.clear()
 
     def invalidate_plans(self) -> int:
-        """Explicitly drop every cached plan; returns the count."""
+        """Explicitly drop every cached plan; returns the count.
+
+        The generation bump takes ``_stats_lock``, not ``_update_lock``:
+        both update paths call this while holding ``_update_lock``, and
+        callers outside an update may run concurrently with them.
+        """
         with self._stats_lock:
             self._plan_generation += 1
         return self._plans.clear()
@@ -915,22 +738,13 @@ class MatchService:
         timeout (the leak is also visible as
         ``statistics()["delta"]["compactor"]["stop_timed_out"]``).
         """
-        self._closed = True
+        super().close(wait)
         compactor = self._compactor
-        stopped = True
-        if compactor is not None:
-            stopped = compactor.stop()
-        self._pool.shutdown(wait=wait)
+        stopped = compactor is None or compactor.stop()
         wal = self._log.wal
         if wal is not None:
             wal.close()
         return stopped
-
-    def __enter__(self) -> "MatchService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -73,36 +73,32 @@ from __future__ import annotations
 import multiprocessing
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
 
 import repro.exceptions as _exceptions
 from repro.core.matches import Match
-from repro.delta.records import records_from_updates
 from repro.delta.view import apply_records
 from repro.delta.wal import WriteAheadLog, scan_wal
 from repro.devtools.lockcheck import make_lock
 from repro.engine.config import EngineConfig
 from repro.exceptions import (
     DeadlineExceededError,
-    EngineError,
     GraphError,
     ReproError,
-    ServiceClosedError,
     ServiceError,
-    ServiceOverloadedError,
     ShardError,
     ShardUnavailableError,
 )
 from repro.graph.digraph import LabeledDiGraph
-from repro.graph.query import WILDCARD
 from repro.query.compiler import CompiledQuery, compile_query
+from repro.service.front import _ServiceFront
+from repro.service.snapshot import update_records
 from repro.shard.engine import _union_graph
 from repro.shard.manifest import load_manifest, shard_index, shard_paths
 from repro.shard.merge import merge_topk
-from repro.shard.plan import ShardPlan
+from repro.shard.plan import ShardPlan, label_owners, refuse_cyclic, route
 from repro.shard.worker import worker_main
 
 #: How long a worker may take to boot (build/mmap its engine) before the
@@ -129,6 +125,17 @@ class ShardedResponse:
     #: True when the answer is a partial merge over surviving shards.
     degraded: bool
     elapsed_seconds: float
+
+
+def _worker_error(index: int, name: str, message: str) -> Exception:
+    """Map a worker's ``("error", name, message)`` reply to an exception."""
+    exc_class = getattr(_exceptions, name, None)
+    if isinstance(exc_class, type) and issubclass(exc_class, ReproError):
+        return exc_class(message)
+    if name in ("ValueError", "TypeError", "KeyError"):
+        return {"ValueError": ValueError, "TypeError": TypeError,
+                "KeyError": KeyError}[name](message)
+    return ShardError(f"shard {index}: {name}: {message}")
 
 
 class _ShardWorker:
@@ -359,12 +366,16 @@ class _ShardGroup:
         expires_at: float | None,
         restart_workers: bool,
     ):
-        """One shard's reply tuple, trying replicas until one answers.
+        """One shard's partial answer ``(epoch, matches)``.
 
-        Non-final attempts get at most half the remaining deadline
-        budget, so a hung replica still leaves its peer enough time to
-        answer; the final attempt gets whatever remains, and is the
-        only one allowed to restart a dead worker inline.
+        Tries replicas until one answers: non-final attempts get at most
+        half the remaining deadline budget, so a hung replica still
+        leaves its peer enough time to answer; the final attempt gets
+        whatever remains, and is the only one allowed to restart a dead
+        worker inline.  Only when every replica is exhausted does
+        :class:`ShardUnavailableError` propagate to the gather; a
+        worker's error reply is re-raised from the coordinator's
+        exception taxonomy.
         """
         candidates = self._read_order()
         if restart_workers:
@@ -385,7 +396,7 @@ class _ShardGroup:
                 )
             incarnation = worker.incarnation
             try:
-                return self._attempt(
+                reply = self._attempt(
                     worker,
                     compiled,
                     k,
@@ -393,23 +404,20 @@ class _ShardGroup:
                     attempt_expires,
                     restart_inline=final and restart_workers,
                 )
-            except ShardUnavailableError as exc:
+            except (ShardUnavailableError, DeadlineExceededError) as exc:
+                # A dead worker, or a hung one _recv poisoned (terminated):
+                # revive it in the background and spend the rest of the
+                # budget on a peer.
                 last_error = exc
                 if restart_workers:
                     self._restart_in_background(worker, incarnation)
                 if final:
                     raise
                 self.failovers += 1
-            except DeadlineExceededError as exc:
-                # _recv poisoned (terminated) the hung worker; revive it
-                # in the background and spend the rest of the budget on
-                # a peer.
-                last_error = exc
-                if restart_workers:
-                    self._restart_in_background(worker, incarnation)
-                if final:
-                    raise
-                self.failovers += 1
+                continue
+            if reply[0] == "error":
+                raise _worker_error(self.index, reply[1], reply[2])
+            return reply[1], reply[2]
         raise last_error  # pragma: no cover - loop always raises/returns
 
     def _attempt(
@@ -485,7 +493,7 @@ class _ShardGroup:
             worker.shutdown()
 
 
-class ShardedMatchService:
+class ShardedMatchService(_ServiceFront):
     """Scatter-gather serving over one worker process per shard.
 
     Construct either from a graph (``ShardedMatchService(graph,
@@ -496,6 +504,9 @@ class ShardedMatchService:
     ``top_k`` / ``request`` sync, ``submit`` / ``batch`` over a bounded
     thread pool with deadlines and back-pressure.
     """
+
+    _lock_prefix = "sharded"
+    _thread_prefix = "shardedservice"
 
     def __init__(
         self,
@@ -528,48 +539,18 @@ class ShardedMatchService:
                 'on_shard_failure must be "error" or "degrade", got '
                 f"{on_shard_failure!r}"
             )
-        if update_policy not in ("auto", "delta", "eager"):
-            raise ServiceError(
-                'update_policy must be "auto", "delta", or "eager", got '
-                f"{update_policy!r}"
-            )
-        if delta_batch_limit < 1:
-            raise ServiceError(
-                f"delta_batch_limit must be >= 1, got {delta_batch_limit}"
-            )
-        if max_workers <= 0:
-            raise ServiceError(f"max_workers must be positive, got {max_workers}")
-        if max_pending is None:
-            max_pending = 8 * max_workers
-        if max_pending <= 0:
-            raise ServiceError(f"max_pending must be positive, got {max_pending}")
-        if default_deadline is not None and default_deadline <= 0:
-            raise ServiceError(
-                f"default_deadline must be positive, got {default_deadline}"
-            )
+        super().__init__(
+            max_workers, max_pending, default_deadline, update_policy,
+            delta_batch_limit,
+        )
         self.on_shard_failure = on_shard_failure
         self.restart_workers = restart_workers
-        self.update_policy = update_policy
-        self.delta_batch_limit = delta_batch_limit
-        self.max_workers = max_workers
-        self.max_pending = max_pending
-        self.default_deadline = default_deadline
         self._ctx = multiprocessing.get_context("spawn")
         self._config = config if config is not None else EngineConfig(**overrides)
-        self._closed = False
         self._epoch = 0
-        self._update_lock = make_lock("sharded.update")
-        self._stats_lock = make_lock("sharded.stats")
-        self._requests = 0
         self._degraded_responses = 0
         self._epoch_retries = 0
-        self._deadline_misses = 0
-        self._overload_rejections = 0
-        self._updates_applied = 0
-        self._delta_updates = 0
-        self._eager_updates = 0
         self._shard_count_changes = 0
-        self._compactions = 0
         self._shards: list[_ShardGroup] = []
 
         # -- per-shard write-ahead log state ---------------------------
@@ -592,18 +573,9 @@ class ShardedMatchService:
                 self._graph, num_shards, self.replication
             )
             self.requested_shards = num_shards
-            self._owner = {
-                label: spec.index
-                for spec in self._plan.shards
-                for label in spec.labels
-            }
+            self._owner = self._plan.owners
             boots = [
-                {
-                    "mode": "graph",
-                    "graph": self._plan.subgraph(self._graph, spec.index),
-                    "config": self._config,
-                    "epoch": 0,
-                }
+                self._graph_boot(self._plan.subgraph(self._graph, spec.index), 0)
                 for spec in self._plan.shards
             ]
         else:
@@ -620,12 +592,11 @@ class ShardedMatchService:
             self.requested_shards = document.get(
                 "requested_shards", document["shard_count"]
             )
-            self._owner = {}
-            for entry in document["shards"]:
-                for label in entry["labels"]:
-                    self._owner[label] = entry["index"]
+            self._owner = label_owners(
+                entry["labels"] for entry in document["shards"]
+            )
             boots = [
-                {"mode": "file", "path": str(path), "overrides": {}, "epoch": self._epoch}
+                self._file_boot(path, self._epoch)
                 for path in shard_paths(document, self.manifest_path)
             ]
 
@@ -633,20 +604,12 @@ class ShardedMatchService:
             boots = self._boot_wals(boots)
 
         try:
-            for index, boot in enumerate(boots):
-                self._shards.append(
-                    _ShardGroup(index, self._ctx, boot, self.replication)
-                )
+            self._shards = self._spawn_groups(boots)
         except BaseException:
-            for group in self._shards:
-                group.shutdown()
             for wal in self._wals:
                 wal.close()
             raise
         self.shard_count = len(self._shards)
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="shardedservice"
-        )
         # Scatter fan-out runs on its own pool so a multi-shard request
         # inside a submit() worker thread cannot deadlock the request
         # pool against itself.
@@ -654,7 +617,18 @@ class ShardedMatchService:
             max_workers=max(2, self.shard_count),
             thread_name_prefix="shardfanout",
         )
-        self._slots = threading.BoundedSemaphore(max_pending)
+
+    def _spawn_groups(self, boots: list[dict], start: int = 0) -> list[_ShardGroup]:
+        """One replica group per boot spec, indexed from ``start``; all or none."""
+        groups: list[_ShardGroup] = []
+        try:
+            for index, boot in enumerate(boots, start):
+                groups.append(_ShardGroup(index, self._ctx, boot, self.replication))
+        except BaseException:
+            for group in groups:
+                group.shutdown()
+            raise
+        return groups
 
     @classmethod
     def from_manifest(
@@ -662,6 +636,18 @@ class ShardedMatchService:
     ) -> "ShardedMatchService":
         """Serve a sharded index; each worker mmaps only its own shard."""
         return cls(manifest=manifest, **kwargs)
+
+    def _graph_boot(self, subgraph: LabeledDiGraph, epoch: int) -> dict:
+        """Boot spec of a worker built from a shipped subgraph."""
+        return {
+            "mode": "graph", "graph": subgraph, "config": self._config,
+            "epoch": epoch,
+        }
+
+    @staticmethod
+    def _file_boot(path, epoch: int) -> dict:
+        """Boot spec of a worker that opens one shard's ``.ridx``."""
+        return {"mode": "file", "path": str(path), "overrides": {}, "epoch": epoch}
 
     # ------------------------------------------------------------------
     # Per-shard write-ahead log
@@ -754,11 +740,7 @@ class ShardedMatchService:
                 graph, self.requested_shards, self.replication
             )
             self._plan = plan
-            self._owner = {
-                label: spec.index
-                for spec in plan.shards
-                for label in spec.labels
-            }
+            self._owner = plan.owners
             replayed: list[dict] = []
             for spec in plan.shards:
                 subgraph = plan.subgraph(graph, spec.index)
@@ -768,14 +750,7 @@ class ShardedMatchService:
                         {**old, "epoch": self._epoch, "pending": subgraph}
                     )
                 else:
-                    replayed.append(
-                        {
-                            "mode": "graph",
-                            "graph": subgraph,
-                            "config": self._config,
-                            "epoch": self._epoch,
-                        }
-                    )
+                    replayed.append(self._graph_boot(subgraph, self._epoch))
             self._realign_wals(len(replayed))
             return replayed
 
@@ -816,54 +791,35 @@ class ShardedMatchService:
     def epoch(self) -> int:
         return self._epoch
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def _count(self, counter: str) -> None:
-        with self._stats_lock:
-            setattr(self, counter, getattr(self, counter) + 1)
-
     def statistics(self, include_shards: bool = False) -> dict:
         """Serving counters; ``include_shards=True`` adds per-worker stats."""
-        stats = {
-            "epoch": self._epoch,
-            "shard_count": self.shard_count,
-            "requested_shards": self.requested_shards,
-            "replication": self.replication,
-            "requests": self._requests,
-            "degraded_responses": self._degraded_responses,
-            "epoch_retries": self._epoch_retries,
-            "deadline_misses": self._deadline_misses,
-            "overload_rejections": self._overload_rejections,
-            "updates_applied": self._updates_applied,
-            "worker_restarts": sum(g.restarts for g in self._shards),
-            "workers_alive": sum(g.alive_count for g in self._shards),
-            "failovers": sum(g.failovers for g in self._shards),
-            "background_restarts": sum(
+        stats = self._front_statistics()
+        stats.update(
+            shard_count=self.shard_count,
+            requested_shards=self.requested_shards,
+            replication=self.replication,
+            degraded_responses=self._degraded_responses,
+            epoch_retries=self._epoch_retries,
+            worker_restarts=sum(g.restarts for g in self._shards),
+            workers_alive=sum(g.alive_count for g in self._shards),
+            failovers=sum(g.failovers for g in self._shards),
+            background_restarts=sum(
                 g.background_restarts for g in self._shards
             ),
-            "max_workers": self.max_workers,
-            "max_pending": self.max_pending,
-            "delta": {
-                "policy": self.update_policy,
-                "batch_limit": self.delta_batch_limit,
-                "delta_updates": self._delta_updates,
-                "eager_updates": self._eager_updates,
-                "shard_count_changes": self._shard_count_changes,
-                "compactions": self._compactions,
-                "wal": None
-                if self._wal_dir is None
-                else {
-                    "dir": str(self._wal_dir),
-                    "generation": self._wal_generation,
-                    "records": len(self._wal_records),
-                    "recovered_records": self._wal_recovered_records,
-                    "stale_discards": self._wal_stale_discards,
-                    "segments": [wal.stats() for wal in self._wals],
-                },
+        )
+        stats["delta"].update(
+            shard_count_changes=self._shard_count_changes,
+            wal=None
+            if self._wal_dir is None
+            else {
+                "dir": str(self._wal_dir),
+                "generation": self._wal_generation,
+                "records": len(self._wal_records),
+                "recovered_records": self._wal_recovered_records,
+                "stale_discards": self._wal_stale_discards,
+                "segments": [wal.stats() for wal in self._wals],
             },
-        }
+        )
         if include_shards:
             shards = []
             for group in self._shards:
@@ -891,73 +847,14 @@ class ShardedMatchService:
         return stats
 
     # ------------------------------------------------------------------
-    # Routing (coordinator-side, no engine required)
-    # ------------------------------------------------------------------
-    def _compile(self, query) -> CompiledQuery:
-        compiled = compile_query(query)
-        if compiled.is_cyclic:
-            raise EngineError(
-                "cyclic (kGPM) patterns cannot run on a sharded service: "
-                "they match over the bidirected closure, which label-range "
-                "shards cannot answer locally; use an unsharded "
-                "MatchService for this query"
-            )
-        return compiled
-
-    def route(self, query) -> tuple[int, ...]:
-        """Shard indices ``query`` scatters to (sorted, possibly empty)."""
-        compiled = self._compile(query)
-        root_label = compiled.tree.label(compiled.tree.root)
-        if root_label == WILDCARD:
-            return tuple(range(self.shard_count))
-        matcher = compiled.effective_matcher(self._config.label_matcher)
-        alphabet = tuple(self._owner)
-        data_labels = matcher.data_labels_for(root_label, alphabet)
-        if data_labels is None:
-            return tuple(range(self.shard_count))
-        owners = {
-            self._owner[label] for label in data_labels if label in self._owner
-        }
-        return tuple(sorted(owners))
-
-    # ------------------------------------------------------------------
     # Request execution
     # ------------------------------------------------------------------
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ServiceClosedError("this ShardedMatchService has been closed")
-
-    def _shard_query(
-        self,
-        group: _ShardGroup,
-        compiled: CompiledQuery,
-        k: int,
-        algorithm: str | None,
-        expires_at: float | None,
-    ):
-        """One shard's partial answer: ``(epoch, matches)``.
-
-        The group fails over across replicas; only when every replica
-        is exhausted (after one inline restart attempt, when enabled)
-        does :class:`ShardUnavailableError` propagate to the gather.
-        """
-        reply = group.query(
-            compiled, k, algorithm, expires_at, self.restart_workers
+    def route(self, query) -> tuple[int, ...]:
+        """Shard indices ``query`` scatters to (sorted, possibly empty)."""
+        return route(
+            compile_query(query), self._owner, self.shard_count,
+            self._config.label_matcher,
         )
-        if reply[0] == "error":
-            raise self._reraise(group.index, reply[1], reply[2])
-        return reply[1], reply[2]
-
-    @staticmethod
-    def _reraise(index: int, name: str, message: str) -> Exception:
-        """Map a worker's ``("error", name, message)`` reply to an exception."""
-        exc_class = getattr(_exceptions, name, None)
-        if isinstance(exc_class, type) and issubclass(exc_class, ReproError):
-            return exc_class(message)
-        if name in ("ValueError", "TypeError", "KeyError"):
-            return {"ValueError": ValueError, "TypeError": TypeError,
-                    "KeyError": KeyError}[name](message)
-        return ShardError(f"shard {index}: {name}: {message}")
 
     def _scatter_once(
         self,
@@ -967,7 +864,9 @@ class ShardedMatchService:
         expires_at: float | None,
     ) -> tuple[int, list[Match], tuple[int, ...], tuple[int, ...], bool]:
         """One scatter round: ``(epoch, matches, routed, failed, consistent)``."""
-        targets = self.route(compiled)
+        targets = route(
+            compiled, self._owner, self.shard_count, self._config.label_matcher
+        )
         if not targets:
             return self._epoch, [], (), (), True
         # Snapshot the group list once: a concurrent resize swaps it
@@ -978,12 +877,12 @@ class ShardedMatchService:
             return self._epoch, [], targets, (), False
         futures = {
             shard: self._fanout.submit(
-                self._shard_query,
-                groups[shard],
+                groups[shard].query,
                 compiled,
                 k,
                 algorithm,
                 expires_at,
+                self.restart_workers,
             )
             for shard in targets
         }
@@ -1021,7 +920,7 @@ class ShardedMatchService:
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
         started = time.perf_counter()
-        compiled = self._compile(query)
+        compiled = refuse_cyclic(compile_query(query))
         self._count("_requests")
         for _attempt in range(_EPOCH_RETRIES + 1):
             epoch, matches, routed, failed, consistent = self._scatter_once(
@@ -1050,11 +949,6 @@ class ShardedMatchService:
             f"{_EPOCH_RETRIES} retries (updates arriving too fast?)"
         )
 
-    def top_k(self, query, k: int, algorithm: str | None = None) -> list[Match]:
-        """Synchronous global top-k on the caller's thread."""
-        self._check_open()
-        return list(self._answer(query, k, algorithm, self._expiry(None)).matches)
-
     def request(
         self,
         query,
@@ -1065,71 +959,6 @@ class ShardedMatchService:
         """Like :meth:`top_k` but returns the full :class:`ShardedResponse`."""
         self._check_open()
         return self._answer(query, k, algorithm, self._expiry(deadline))
-
-    def _expiry(self, deadline: float | None) -> float | None:
-        if deadline is None:
-            deadline = self.default_deadline
-        if deadline is None:
-            return None
-        if deadline <= 0:
-            raise ServiceError(f"deadline must be positive, got {deadline}")
-        return time.monotonic() + deadline
-
-    # ------------------------------------------------------------------
-    # Asynchronous execution over the bounded pool
-    # ------------------------------------------------------------------
-    def _run_request(
-        self, query, k: int, algorithm: str | None, expires_at: float | None
-    ) -> ShardedResponse:
-        if expires_at is not None and time.monotonic() > expires_at:
-            self._count("_deadline_misses")
-            raise DeadlineExceededError(
-                "request deadline expired while queued "
-                f"(deadline was {expires_at:.3f} on the monotonic clock)"
-            )
-        return self._answer(query, k, algorithm, expires_at)
-
-    def _submit(
-        self, query, k: int, algorithm: str | None, deadline: float | None,
-        block: bool,
-    ) -> Future:
-        self._check_open()
-        expires_at = self._expiry(deadline)
-        if not self._slots.acquire(blocking=block):
-            self._count("_overload_rejections")
-            raise ServiceOverloadedError(
-                f"request queue is full ({self.max_pending} in flight); "
-                "back off and retry"
-            )
-        try:
-            future = self._pool.submit(
-                self._run_request, query, k, algorithm, expires_at
-            )
-        except RuntimeError as exc:  # pool shut down concurrently
-            self._slots.release()
-            raise ServiceClosedError(
-                "this ShardedMatchService has been closed"
-            ) from exc
-        future.add_done_callback(lambda _finished: self._slots.release())
-        return future
-
-    def submit(
-        self, query, k: int, algorithm: str | None = None,
-        deadline: float | None = None,
-    ) -> Future:
-        """Queue one request; resolves to a :class:`ShardedResponse`."""
-        return self._submit(query, k, algorithm, deadline, block=False)
-
-    def batch(
-        self, queries: Iterable, k: int, algorithm: str | None = None,
-        deadline: float | None = None,
-    ) -> list[list[Match]]:
-        """Answer many queries through the pool, in order (back-pressured)."""
-        futures = [
-            self._submit(query, k, algorithm, deadline, block=True)
-            for query in queries
-        ]
-        return [list(future.result().matches) for future in futures]
 
     # ------------------------------------------------------------------
     # Updates: epoch-consistent snapshot swap across all shards
@@ -1176,12 +1005,9 @@ class ShardedMatchService:
         is always eager, since the label->shard layout moves).  Returns
         a summary report dict.
         """
-        try:
-            records = records_from_updates(
-                edges_added, edges_removed, nodes_added, labels_changed
-            )
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ServiceError(f"invalid graph update: {exc}") from exc
+        records = update_records(
+            edges_added, edges_removed, nodes_added, labels_changed
+        )
         if not records and num_shards is None:
             raise ServiceError(
                 "apply_updates needs at least one change (edges_added, "
@@ -1210,13 +1036,7 @@ class ShardedMatchService:
                 plan.subgraph(graph, spec.index) for spec in plan.shards
             ]
             resized = plan.shard_count != self.shard_count
-            use_delta = not resized and (
-                self.update_policy == "delta"
-                or (
-                    self.update_policy == "auto"
-                    and len(records) <= self.delta_batch_limit
-                )
-            )
+            use_delta = not resized and self._use_delta(records)
             # Write-ahead: the batch must be durable in every shard's
             # segment before any worker serves the new epoch — this is
             # the acknowledgement barrier.
@@ -1228,20 +1048,13 @@ class ShardedMatchService:
             else:
                 op = "delta" if use_delta else "swap"
                 for group, subgraph in zip(self._shards, subgraphs):
-                    boot = {
-                        "mode": "graph",
-                        "graph": subgraph,
-                        "config": self._config,
-                        "epoch": new_epoch,
-                    }
-                    group.broadcast(op, (new_epoch, subgraph), boot)
+                    group.broadcast(
+                        op, (new_epoch, subgraph),
+                        self._graph_boot(subgraph, new_epoch),
+                    )
             self._graph = graph
             self._plan = plan
-            self._owner = {
-                label: spec.index
-                for spec in plan.shards
-                for label in spec.labels
-            }
+            self._owner = plan.owners
             self._epoch = new_epoch
             self._count("_updates_applied")
             self._count("_delta_updates" if use_delta else "_eager_updates")
@@ -1271,30 +1084,11 @@ class ShardedMatchService:
         """
         old_groups = self._shards
         new_count = len(subgraphs)
-        boots = [
-            {
-                "mode": "graph",
-                "graph": subgraph,
-                "config": self._config,
-                "epoch": new_epoch,
-            }
-            for subgraph in subgraphs
-        ]
+        boots = [self._graph_boot(subgraph, new_epoch) for subgraph in subgraphs]
         kept = old_groups[:new_count]
         for group, boot in zip(kept, boots):
             group.broadcast("swap", (new_epoch, boot["graph"]), boot)
-        added: list[_ShardGroup] = []
-        try:
-            for index in range(len(kept), new_count):
-                added.append(
-                    _ShardGroup(
-                        index, self._ctx, boots[index], self.replication
-                    )
-                )
-        except BaseException:
-            for group in added:
-                group.shutdown()
-            raise
+        added = self._spawn_groups(boots[len(kept):], len(kept))
         retired = old_groups[new_count:]
         self._shards = kept + added
         self.shard_count = new_count
@@ -1356,14 +1150,7 @@ class ShardedMatchService:
                 )
                 paths = shard_paths(document, self.manifest_path)
                 for group, path in zip(self._shards, paths):
-                    group.set_boot(
-                        {
-                            "mode": "file",
-                            "path": str(path),
-                            "overrides": {},
-                            "epoch": self._epoch,
-                        }
-                    )
+                    group.set_boot(self._file_boot(path, self._epoch))
                 for wal in self._wals:
                     wal.rewrite((), generation=self._epoch)
                 self._wal_generation = self._epoch
@@ -1388,19 +1175,12 @@ class ShardedMatchService:
         stay durable for the next boot's replay (checkpointing is
         :meth:`compact`'s job, not close's).
         """
-        self._closed = True
-        self._pool.shutdown(wait=wait)
+        super().close(wait)
         self._fanout.shutdown(wait=wait)
         for group in self._shards:
             group.shutdown()
         for wal in self._wals:
             wal.close()
-
-    def __enter__(self) -> "ShardedMatchService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -116,12 +116,9 @@ class Snapshot:
         construction.
         """
         started = time.perf_counter()
-        try:
-            records = records_from_updates(
-                edges_added, edges_removed, nodes_added, labels_changed
-            )
-        except (TypeError, ValueError, IndexError) as exc:
-            raise ServiceError(f"invalid graph update: {exc}") from exc
+        records = update_records(
+            edges_added, edges_removed, nodes_added, labels_changed
+        )
         if not records:
             raise ServiceError(
                 "apply_updates needs at least one change (edges_added, "
@@ -146,6 +143,18 @@ class Snapshot:
             labels_changed=result.labels_changed,
         )
         return snapshot, report
+
+
+def update_records(
+    edges_added, edges_removed, nodes_added, labels_changed
+) -> tuple:
+    """The delta records of one update call (:class:`ServiceError` on bad shapes)."""
+    try:
+        return records_from_updates(
+            edges_added, edges_removed, nodes_added, labels_changed
+        )
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ServiceError(f"invalid graph update: {exc}") from exc
 
 
 # ----------------------------------------------------------------------

@@ -36,15 +36,16 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.core.matches import Match
+from repro.delta.records import records_from_updates
+from repro.delta.view import apply_records
 from repro.engine.config import EngineConfig
 from repro.engine.core import MatchEngine
-from repro.exceptions import EngineError, ShardError
+from repro.exceptions import GraphError, ShardError
 from repro.graph.digraph import LabeledDiGraph
-from repro.graph.query import WILDCARD
 from repro.query.compiler import CompiledQuery, compile_query
 from repro.shard.manifest import load_manifest, shard_index, shard_paths
 from repro.shard.merge import ShardedResultStream, merge_topk
-from repro.shard.plan import ShardPlan, plan_from_layout
+from repro.shard.plan import ShardPlan, plan_from_layout, route
 
 
 class ShardedEngine:
@@ -192,7 +193,7 @@ class ShardedEngine:
         ``plan.backend_reasons`` being per-shard, so callers wanting the
         full picture should pair this with :meth:`route`.
         """
-        compiled = self._check_tree(self.compile(query))
+        compiled = self.compile(query)
         targets = self.route(compiled)
         shard = targets[0] if targets else 0
         return self._engines[shard].explain(compiled, k, algorithm=algorithm)
@@ -201,33 +202,11 @@ class ShardedEngine:
     # Routing
     # ------------------------------------------------------------------
     def route(self, query) -> tuple[int, ...]:
-        """Shard indices a query scatters to (sorted, possibly empty).
-
-        Plain root labels map to exactly one shard; containment roots to
-        every owner of a member label; wildcard roots (and custom
-        matchers that cannot enumerate their data labels) to all shards.
-        A plain root label absent from the graph routes nowhere — the
-        empty answer needs no shard at all.
-        """
-        compiled = self._check_tree(self.compile(query))
-        root_label = compiled.tree.label(compiled.tree.root)
-        if root_label == WILDCARD:
-            return self.plan.all_shards()
-        matcher = compiled.effective_matcher(self.config.label_matcher)
-        data_labels = matcher.data_labels_for(root_label, self.plan.labels())
-        if data_labels is None:
-            return self.plan.all_shards()
-        return self.plan.owners_for(data_labels)
-
-    def _check_tree(self, compiled: CompiledQuery) -> CompiledQuery:
-        if compiled.is_cyclic:
-            raise EngineError(
-                "cyclic (kGPM) patterns cannot run on a sharded engine: "
-                "they match over the bidirected closure, which forward-"
-                "closed label-range shards cannot answer locally; use an "
-                "unsharded MatchEngine for this query"
-            )
-        return compiled
+        """Shard indices a query scatters to (see :func:`repro.shard.plan.route`)."""
+        return route(
+            self.compile(query), self.plan.owners, self.shard_count,
+            self.config.label_matcher,
+        )
 
     # ------------------------------------------------------------------
     # Query execution
@@ -236,7 +215,7 @@ class ShardedEngine:
         """The global top-k: scatter to routed shards, gather via merge."""
         if k < 0:
             raise ValueError(f"k must be non-negative, got {k}")
-        compiled = self._check_tree(self.compile(query))
+        compiled = self.compile(query)
         targets = self.route(compiled)
         partials = [
             self._engines[shard].top_k(compiled, k, algorithm=algorithm)
@@ -248,7 +227,7 @@ class ShardedEngine:
         self, query, algorithm: str | None = None, k_hint: int = 10
     ) -> ShardedResultStream:
         """A lazy merged stream over the routed shards' result streams."""
-        compiled = self._check_tree(self.compile(query))
+        compiled = self.compile(query)
         targets = self.route(compiled)
         return ShardedResultStream(
             self._engines[shard].stream(
@@ -282,9 +261,13 @@ class ShardedEngine:
         untouched — this is snapshot-swap semantics, mirroring
         :meth:`repro.service.Snapshot.updated`.
         """
-        graph = _apply_deltas(
-            self.graph, edges_added, edges_removed, nodes_added
-        )
+        graph = self.graph.copy()
+        try:
+            apply_records(
+                graph, records_from_updates(edges_added, edges_removed, nodes_added)
+            )
+        except (GraphError, TypeError, ValueError, IndexError) as exc:
+            raise ShardError(f"invalid graph update: {exc}") from exc
         rebuilt = ShardedEngine.from_graph(
             graph, self.plan.requested_shards, self.config
         )
@@ -328,24 +311,3 @@ def _union_graph(graphs: Iterable[LabeledDiGraph]) -> LabeledDiGraph:
                 union.add_edge(tail, head, weight)
     return union
 
-
-def _apply_deltas(
-    graph: LabeledDiGraph,
-    edges_added: tuple,
-    edges_removed: tuple,
-    nodes_added: dict | None,
-) -> LabeledDiGraph:
-    """Copy ``graph`` and apply the update deltas (ShardError on misuse)."""
-    from repro.exceptions import GraphError
-
-    updated = graph.copy()
-    try:
-        for node, label in (nodes_added or {}).items():
-            updated.add_node(node, label)
-        for edge in tuple(edges_added):
-            updated.add_edge(*edge)
-        for edge in tuple(edges_removed):
-            updated.remove_edge(edge[0], edge[1])
-    except (GraphError, TypeError, ValueError, IndexError) as exc:
-        raise ShardError(f"invalid graph update: {exc}") from exc
-    return updated

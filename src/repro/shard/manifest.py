@@ -148,7 +148,7 @@ def shard_index(
         "counts": {
             "nodes": graph.num_nodes,
             "edges": graph.num_edges,
-            "labels": len(plan.labels()),
+            "labels": len(plan.owners),
         },
         "shards": shards,
     }

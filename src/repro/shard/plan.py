@@ -37,8 +37,9 @@ from typing import Iterable, Mapping
 from repro.compact.csr import CompactGraph
 from repro.compact.interner import NodeInterner
 from repro.compact.span import SpanView
-from repro.exceptions import ShardError
+from repro.exceptions import EngineError, ShardError
 from repro.graph.digraph import LabeledDiGraph
+from repro.graph.query import WILDCARD
 
 
 @dataclass(frozen=True)
@@ -74,10 +75,8 @@ class ShardPlan:
         #: How many workers should serve each shard (availability knob;
         #: the partition itself is replication-agnostic).
         self.replication = replication
-        self._owner: dict = {}
-        for spec in shards:
-            for label in spec.labels:
-                self._owner[label] = spec.index
+        #: ``label -> owning shard index`` (the routing table).
+        self.owners = label_owners(spec.labels for spec in shards)
 
     # ------------------------------------------------------------------
     # Construction
@@ -137,29 +136,15 @@ class ShardPlan:
         return cls(interner, compact, tuple(specs), num_shards, replication)
 
     # ------------------------------------------------------------------
-    # Introspection / routing
+    # Introspection
     # ------------------------------------------------------------------
     @property
     def shard_count(self) -> int:
         return len(self.shards)
 
-    def labels(self) -> tuple:
-        """All data labels, in id-range order."""
-        return self.interner.labels()
-
     def owner_of(self, label) -> int | None:
         """The shard index owning ``label`` (``None`` when unknown)."""
-        return self._owner.get(label)
-
-    def owners_for(self, labels: Iterable) -> tuple[int, ...]:
-        """Sorted shard indices owning any of ``labels`` (unknown skipped)."""
-        owners = {
-            self._owner[label] for label in labels if label in self._owner
-        }
-        return tuple(sorted(owners))
-
-    def all_shards(self) -> tuple[int, ...]:
-        return tuple(range(len(self.shards)))
+        return self.owners.get(label)
 
     # ------------------------------------------------------------------
     # Materialization
@@ -254,3 +239,56 @@ def plan_from_layout(
             f"({len(flat)} listed, {len(expected)} present)"
         )
     return ShardPlan(interner, compact, tuple(specs), requested_shards, replication)
+
+
+# ----------------------------------------------------------------------
+# Routing (shared by ShardedEngine and the multi-process service)
+# ----------------------------------------------------------------------
+def label_owners(shard_labels: Iterable[Iterable]) -> dict:
+    """``label -> shard index`` from each shard's owned labels, in shard order."""
+    return {
+        label: index
+        for index, labels in enumerate(shard_labels)
+        for label in labels
+    }
+
+
+def refuse_cyclic(compiled):
+    """Return ``compiled`` unless it is a cyclic (kGPM) pattern.
+
+    Cyclic patterns match over the *bidirected* closure, which
+    forward-closed label-range shards cannot answer locally.
+    """
+    if compiled.is_cyclic:
+        raise EngineError(
+            "cyclic (kGPM) patterns cannot run on label-range shards: they "
+            "match over the bidirected closure, which forward-closed shards "
+            "cannot answer locally; use an unsharded MatchEngine or "
+            "MatchService for this query"
+        )
+    return compiled
+
+
+def route(
+    compiled, owners: Mapping, shard_count: int, label_matcher
+) -> tuple[int, ...]:
+    """Shard indices a compiled query scatters to (sorted, possibly empty).
+
+    Plain root labels map to exactly one shard; containment roots to
+    every owner of a member label; wildcard roots (and custom matchers
+    that cannot enumerate their data labels) to all shards.  A plain
+    root label absent from the graph routes nowhere — the empty answer
+    needs no shard at all.  ``owners`` is the :func:`label_owners` table;
+    cyclic queries are refused.
+    """
+    refuse_cyclic(compiled)
+    root_label = compiled.tree.label(compiled.tree.root)
+    if root_label == WILDCARD:
+        return tuple(range(shard_count))
+    matcher = compiled.effective_matcher(label_matcher)
+    data_labels = matcher.data_labels_for(root_label, tuple(owners))
+    if data_labels is None:
+        return tuple(range(shard_count))
+    return tuple(
+        sorted({owners[label] for label in data_labels if label in owners})
+    )

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import TreeMatcher
+from repro.engine import MatchEngine
 from repro.core.brute_force import all_matches
 from repro.graph.digraph import graph_from_edges
 from repro.graph.generators import erdos_renyi_graph
@@ -28,7 +28,10 @@ def random_instance(seed: int):
         rng.randint(5, 14), rng.randint(6, 34), num_labels=rng.randint(3, 5),
         seed=seed,
     )
-    tm = TreeMatcher(g, block_size=rng.choice([1, 2, 8, 64]))
+    tm = MatchEngine(
+        g, backend="full", algorithm="topk-en",
+        block_size=rng.choice([1, 2, 8, 64]),
+    )
     labels = sorted(g.labels())
     rng.shuffle(labels)
     size = min(len(labels), rng.randint(2, 5))
@@ -62,7 +65,9 @@ def test_weighted_graphs_agree(seed):
         {v: base.label(v) for v in base.nodes()},
         [(t, h, rng.randint(1, 6)) for t, h, _ in base.edges()],
     )
-    tm = TreeMatcher(g, block_size=rng.choice([2, 16]))
+    tm = MatchEngine(
+        g, backend="full", algorithm="topk-en", block_size=rng.choice([2, 16])
+    )
     labels = sorted(g.labels())
     rng.shuffle(labels)
     size = min(len(labels), rng.randint(2, 4))
@@ -93,7 +98,7 @@ def test_agreement_property(seed):
 def test_deterministic_across_runs(seed):
     _, tm, query = random_instance(seed)
     a = tm.top_k(query, 10, algorithm="topk-en")
-    b = TreeMatcher(tm.graph).top_k(query, 10, algorithm="topk-en")
+    b = MatchEngine(tm.graph, backend="full").top_k(query, 10, algorithm="topk-en")
     assert [m.score for m in a] == [m.score for m in b]
     assert [m.assignment for m in a] == [m.assignment for m in b]
 

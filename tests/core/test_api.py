@@ -1,17 +1,15 @@
-"""Tests for the deprecated TreeMatcher facade (shim over repro.engine)."""
+"""The one-object entry point: a ``full``-backend :class:`MatchEngine`."""
 
 import pytest
 
-from repro.core.api import ALGORITHMS, TreeMatcher, top_k_tree_matches
+from repro.engine import MatchEngine
+from repro.engine.config import ALGORITHMS
 from repro.graph.query import QueryTree
-
-# The facade is deprecated by design; these tests exercise it on purpose.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 @pytest.fixture
 def matcher(figure4_graph):
-    return TreeMatcher(figure4_graph)
+    return MatchEngine(figure4_graph, backend="full", algorithm="topk-en")
 
 
 def test_all_algorithms_listed():
@@ -41,46 +39,34 @@ def test_unknown_algorithm(matcher, figure4_query):
 
 
 def test_engine_exposes_stats(matcher, figure4_query):
-    engine = matcher.engine(figure4_query, "topk-en")
+    engine = matcher.engine_for(figure4_query, algorithm="topk-en")
     engine.top_k(2)
     assert engine.stats.rounds == 2
 
 
 def test_engine_is_engine_like_for_brute_force(matcher, figure4_query):
-    """The old facade leaked a bare truncated list here; now it is an
-    engine-like object with top_k/stream/stats."""
-    engine = matcher.engine(figure4_query, "brute-force")
+    """Brute force yields an engine-like object with top_k/stream/stats,
+    not a bare truncated list."""
+    from repro.core.brute_force import BruteForceEngine
+
+    engine = matcher.engine_for(figure4_query, algorithm="brute-force")
+    assert isinstance(engine, BruteForceEngine)
     assert [m.score for m in engine.top_k(2)] == [3, 4]
     assert hasattr(engine, "stream") and hasattr(engine, "stats")
 
 
 def test_one_shot_helper(figure4_graph, figure4_query):
-    matches = top_k_tree_matches(figure4_graph, figure4_query, 1)
+    matches = MatchEngine(figure4_graph, backend="full").top_k(figure4_query, 1)
     assert matches[0].score == 3
 
 
-def test_matcher_reusable_across_queries(figure4_graph):
-    tm = TreeMatcher(figure4_graph)
+def test_matcher_reusable_across_queries(matcher):
     q1 = QueryTree({0: "a", 1: "b"}, [(0, 1)])
     q2 = QueryTree({0: "c", 1: "d"}, [(0, 1)])
-    assert tm.top_k(q1, 1)[0].score == 1
-    assert tm.top_k(q2, 4)[-1].score == 4
+    assert matcher.top_k(q1, 1)[0].score == 1
+    assert matcher.top_k(q2, 4)[-1].score == 4
 
 
 def test_offline_artifacts_exposed(matcher):
     assert matcher.closure.num_pairs > 0
     assert matcher.store.size_statistics()["total_entries"] > 0
-
-
-class TestDeprecation:
-    """Satellite: the old facade warns, loudly and testably."""
-
-    @pytest.mark.filterwarnings("default::DeprecationWarning")
-    def test_tree_matcher_fires_deprecation(self, figure4_graph):
-        with pytest.warns(DeprecationWarning, match="repro.engine.MatchEngine"):
-            TreeMatcher(figure4_graph)
-
-    @pytest.mark.filterwarnings("default::DeprecationWarning")
-    def test_one_shot_fires_deprecation(self, figure4_graph, figure4_query):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            top_k_tree_matches(figure4_graph, figure4_query, 1)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import TreeMatcher
+from repro import MatchEngine
 from repro.closure.store import ClosureStore
 from repro.core.topk import TopkEnumerator
 from repro.core.topk_en import TopkEN
@@ -13,20 +13,20 @@ from repro.runtime.graph import build_runtime_graph
 
 class TestUnmatchableQueries:
     def test_label_absent_from_graph(self, figure4_graph):
-        tm = TreeMatcher(figure4_graph)
+        tm = MatchEngine(figure4_graph, backend="full", algorithm="topk-en")
         q = QueryTree({0: "a", 1: "zz"}, [(0, 1)])
         for alg in ("dp-b", "dp-p", "topk", "topk-en"):
             assert tm.top_k(q, 5, algorithm=alg) == [], alg
 
     def test_right_labels_wrong_direction(self, figure4_graph):
-        tm = TreeMatcher(figure4_graph)
+        tm = MatchEngine(figure4_graph, backend="full", algorithm="topk-en")
         q = QueryTree({0: "d", 1: "a"}, [(0, 1)])
         for alg in ("dp-b", "dp-p", "topk", "topk-en"):
             assert tm.top_k(q, 5, algorithm=alg) == [], alg
 
     def test_deep_query_on_shallow_graph(self):
         g = graph_from_edges({"x": "a", "y": "b"}, [("x", "y")])
-        tm = TreeMatcher(g)
+        tm = MatchEngine(g, backend="full", algorithm="topk-en")
         q = QueryTree(
             {0: "a", 1: "b", 2: "a", 3: "b"}, [(0, 1), (1, 2), (2, 3)]
         )
@@ -37,7 +37,7 @@ class TestUnmatchableQueries:
         g = graph_from_edges(
             {"r": "a", "x": "b"}, [("r", "x")]
         )
-        tm = TreeMatcher(g)
+        tm = MatchEngine(g, backend="full", algorithm="topk-en")
         q = QueryTree({0: "a", 1: "b", 2: "c"}, [(0, 1), (0, 2)])
         for alg in ("dp-b", "dp-p", "topk", "topk-en"):
             assert tm.top_k(q, 3, algorithm=alg) == [], alg
@@ -47,7 +47,7 @@ class TestDegenerateGraphs:
     def test_empty_like_graph(self):
         g = LabeledDiGraph()
         g.add_node("only", "a")
-        tm = TreeMatcher(g)
+        tm = MatchEngine(g, backend="full", algorithm="topk-en")
         q = QueryTree({0: "a"}, [])
         matches = tm.top_k(q, 3)
         assert len(matches) == 1 and matches[0].score == 0
@@ -56,13 +56,13 @@ class TestDegenerateGraphs:
         g = LabeledDiGraph()
         for i in range(4):
             g.add_node(i, "a")
-        tm = TreeMatcher(g)
+        tm = MatchEngine(g, backend="full", algorithm="topk-en")
         q = QueryTree({0: "a", 1: "a"}, [(0, 1)])
         assert tm.top_k(q, 3) == []
 
     def test_two_node_cycle(self):
         g = graph_from_edges({0: "a", 1: "a"}, [(0, 1), (1, 0)])
-        tm = TreeMatcher(g)
+        tm = MatchEngine(g, backend="full", algorithm="topk-en")
         q = QueryTree({0: "a", 1: "a"}, [(0, 1)])
         matches = tm.top_k(q, 10)
         # 0->1, 1->0 at distance 1; 0->0 and 1->1 via the 2-cycle.
@@ -74,7 +74,7 @@ class TestInputValidation:
         g = graph_from_edges(
             {"a0": "a", "b0": "b"}, [("a0", "b0", 0.125)]
         )
-        tm = TreeMatcher(g)
+        tm = MatchEngine(g, backend="full", algorithm="topk-en")
         q = QueryTree({0: "a", 1: "b"}, [(0, 1)])
         assert tm.top_k(q, 1)[0].score == 0.125
 
@@ -93,7 +93,7 @@ class TestInputValidation:
         g.add_node(("t", 2), "c")
         g.add_edge(1, "s")
         g.add_edge("s", ("t", 2))
-        tm = TreeMatcher(g)
+        tm = MatchEngine(g, backend="full", algorithm="topk-en")
         q = QueryTree({0: "a", 1: "b", 2: "c"}, [(0, 1), (1, 2)])
         matches = tm.top_k(q, 2)
         assert len(matches) == 1
@@ -102,14 +102,14 @@ class TestInputValidation:
 
 class TestLargeKBehaviour:
     def test_k_much_larger_than_results(self, figure1_graph, figure1_query):
-        tm = TreeMatcher(figure1_graph)
+        tm = MatchEngine(figure1_graph, backend="full", algorithm="topk-en")
         for alg in ("dp-b", "dp-p", "topk", "topk-en"):
             matches = tm.top_k(figure1_query, 10_000, algorithm=alg)
             assert len(matches) == 6, alg
 
     def test_repeated_calls_idempotent(self, figure1_graph, figure1_query):
-        tm = TreeMatcher(figure1_graph)
-        engine = tm.engine(figure1_query, "topk-en")
+        tm = MatchEngine(figure1_graph, backend="full", algorithm="topk-en")
+        engine = tm.engine_for(figure1_query, algorithm="topk-en")
         a = [m.score for m in engine.top_k(4)]
         b = [m.score for m in engine.top_k(4)]
         c = [m.score for m in engine.top_k(6)]

@@ -10,7 +10,7 @@ from repro.core.baseline_dpp import DPPEnumerator
 from repro.core.brute_force import all_matches
 from repro.core.topk import TopkEnumerator
 from repro.core.topk_en import TopkEN
-from repro.core.api import TreeMatcher
+from repro.engine import MatchEngine
 from repro.graph.digraph import graph_from_edges
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.query import QueryTree
@@ -87,14 +87,18 @@ class TestAllEnginesAgree:
             assert got == pytest.approx(oracle[:k]), type(engine).__name__
 
     def test_facade_plumbs_weights(self, figure4_graph, figure4_query):
-        tm = TreeMatcher(figure4_graph, node_weight=lambda v: 1.0)
+        tm = MatchEngine(
+            figure4_graph, backend="full", algorithm="topk-en",
+            node_weight=lambda v: 1.0,
+        )
         for alg in ("dp-b", "dp-p", "topk", "topk-en", "brute-force"):
             matches = tm.top_k(figure4_query, 1, algorithm=alg)
             assert matches[0].score == 3 + 4, alg
 
     def test_single_node_query_weighted(self, figure4_graph):
-        tm = TreeMatcher(
-            figure4_graph, node_weight=lambda v: 2.0 if v == "v5" else 0.0
+        tm = MatchEngine(
+            figure4_graph, backend="full", algorithm="topk-en",
+            node_weight=lambda v: 2.0 if v == "v5" else 0.0,
         )
         q = QueryTree({0: "c"}, [])
         matches = tm.top_k(q, 4)

@@ -64,8 +64,10 @@ def test_dag_documents_known_positions():
     assert "repro.service" not in allowed_of("repro.delta")
     # Kernel stays below the engine.
     assert "repro.engine" not in allowed_of("repro.kernel")
-    # The deprecated facade sits above the engine, unlike the rest of core.
-    assert "repro.engine" in allowed_of("repro.core.api")
+    # The binary index reader sits above the closure layer, unlike the
+    # rest of storage; core stays below the engine.
+    assert "repro.closure" in allowed_of("repro.storage.diskindex")
+    assert "repro.closure" not in allowed_of("repro.storage")
     assert "repro.engine" not in allowed_of("repro.core")
     # devtools is importable from the write path and serving layers
     # (make_lock) but depends on nothing above the exceptions/utils base.

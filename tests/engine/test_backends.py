@@ -66,6 +66,41 @@ class TestBackendSurface:
         assert stats["backend"] == backend
         assert stats["build_seconds"] >= 0.0
 
+    _UNIFORM = ["backend", "build_seconds", "pair_count", "bytes_estimate"]
+    _CLOSURE_TABLES = [
+        "closure_pairs", "l_entries", "l_blocks", "d_entries", "e_entries",
+        "total_entries",
+    ]
+    _ONDEMAND_CACHE = [
+        "searches_run", "nodes_with_incoming_cached", "groups_materialized",
+        "cached_entries", "pll_entries",
+    ]
+    #: The one per-backend accessor: uniform core, then backend extras.
+    STATS_KEYS = {
+        "full": _UNIFORM + _CLOSURE_TABLES,
+        "ondemand": _UNIFORM + _ONDEMAND_CACHE,
+        "pll": _UNIFORM + _ONDEMAND_CACHE,
+        "hybrid": _UNIFORM + [
+            "hot_pairs", "total_pairs", "hot_entries", "total_entries",
+            "hot_storage_fraction",
+        ],
+        "constrained": _UNIFORM + [
+            "closure_pairs", "partial", *_CLOSURE_TABLES[1:],
+        ],
+    }
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_stats_key_set_pinned(self, figure4_graph, figure4_query, backend):
+        """``backend.stats()`` is the one accessor; ``MatchEngine.statistics()``
+        (and so the shard worker's ``stats`` reply) is it minus the
+        uniform pair/byte estimates — the key sets readers depend on."""
+        engine = _engine(figure4_graph, backend, figure4_query)
+        expected = self.STATS_KEYS[backend]
+        assert list(engine.backend.stats()) == expected
+        assert list(engine.statistics()) == [
+            key for key in expected if key not in ("pair_count", "bytes_estimate")
+        ]
+
     def test_constrained_requires_workload(self, figure4_graph):
         from repro.exceptions import EngineError
 

@@ -1,4 +1,4 @@
-"""MatchEngine construction: config validation, builder, deprecation shims."""
+"""MatchEngine construction: config validation, builder, prepared queries."""
 
 import pytest
 
@@ -94,42 +94,6 @@ class TestEngineBasics:
         q2 = QueryTree({0: "c", 1: "d"}, [(0, 1)])
         assert engine.top_k(q1, 1)[0].score == 1
         assert engine.top_k(q2, 4)[-1].score == 4
-
-
-class TestDeprecatedFacade:
-    def test_tree_matcher_warns(self, figure4_graph):
-        from repro import TreeMatcher
-
-        with pytest.warns(DeprecationWarning, match="TreeMatcher is deprecated"):
-            TreeMatcher(figure4_graph)
-
-    def test_one_shot_warns(self, figure4_graph, figure4_query):
-        from repro import top_k_tree_matches
-
-        with pytest.warns(DeprecationWarning, match="top_k_tree_matches"):
-            matches = top_k_tree_matches(figure4_graph, figure4_query, 1)
-        assert matches[0].score == 3
-
-    def test_shim_matches_engine(self, figure4_graph, figure4_query):
-        from repro import TreeMatcher
-
-        with pytest.warns(DeprecationWarning):
-            shim = TreeMatcher(figure4_graph)
-        engine = MatchEngine(figure4_graph, backend="full")
-        for algorithm in ("topk-en", "dp-b", "brute-force"):
-            assert [m.score for m in shim.top_k(figure4_query, 3, algorithm)] == [
-                m.score for m in engine.top_k(figure4_query, 3, algorithm=algorithm)
-            ]
-
-    def test_shim_engine_object_for_brute_force(self, figure4_graph, figure4_query):
-        from repro import TreeMatcher
-        from repro.core.brute_force import BruteForceEngine
-
-        with pytest.warns(DeprecationWarning):
-            shim = TreeMatcher(figure4_graph)
-        obj = shim.engine(figure4_query, "brute-force")
-        assert isinstance(obj, BruteForceEngine)
-        assert [m.score for m in obj.top_k(2)] == [3, 4]
 
 
 class TestPreparedQueries:

@@ -3,17 +3,11 @@
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
 from repro.engine import MatchEngine
-from repro.exceptions import (
-    DeadlineExceededError,
-    ServiceClosedError,
-    ServiceError,
-    ServiceOverloadedError,
-)
+from repro.exceptions import ServiceError
 from repro.graph.digraph import graph_from_edges
 from repro.graph.generators import citation_graph
 from repro.graph.query import EdgeType, QueryTree
@@ -159,41 +153,6 @@ class TestAsyncExecution:
             assert response.epoch == 0
             assert scores(response.matches) == scores(service.top_k("A//B", 3))
 
-    def test_batch_preserves_order(self):
-        with MatchService(two_cluster_graph(), max_workers=2) as service:
-            queries = ["A//B", "C//D", "A//B[C]"]
-            got = service.batch(queries, 4)
-            expected = [service.top_k(query, 4) for query in queries]
-            assert [scores(m) for m in got] == [scores(m) for m in expected]
-
-    def test_deadline_exceeded_while_queued(self):
-        gate = threading.Event()
-        with MatchService(two_cluster_graph(), max_workers=1) as service:
-            blocker = service.submit(_GatedQuery(gate), 1)
-            late = service.submit("A//B", 1, deadline=0.02)
-            time.sleep(0.1)  # let the deadline lapse while queued
-            gate.set()
-            assert len(blocker.result(timeout=10).matches) == 1
-            with pytest.raises(DeadlineExceededError):
-                late.result(timeout=10)
-            assert service.statistics()["deadline_misses"] == 1
-
-    def test_overload_fails_fast(self):
-        gate = threading.Event()
-        with MatchService(
-            two_cluster_graph(), max_workers=1, max_pending=2
-        ) as service:
-            first = service.submit(_GatedQuery(gate), 1)   # running
-            second = service.submit(_GatedQuery(gate), 1)  # queued
-            with pytest.raises(ServiceOverloadedError):
-                service.submit("A//B", 1)
-            assert service.statistics()["overload_rejections"] == 1
-            gate.set()
-            first.result(timeout=10)
-            second.result(timeout=10)
-            # Slots were released: submitting works again.
-            assert service.submit("A//B", 1).result(timeout=10).matches
-
     def test_cancelled_queued_future_releases_its_slot(self):
         """Regression: a cancelled still-queued future never runs its
         task, so the pending slot must be released by the done callback
@@ -213,23 +172,8 @@ class TestAsyncExecution:
             assert len(third.result(timeout=10).matches) == 1
             assert service.statistics()["overload_rejections"] == 0
 
-    def test_invalid_deadline_rejected(self):
-        with MatchService(two_cluster_graph()) as service:
-            with pytest.raises(ServiceError):
-                service.submit("A//B", 1, deadline=0)
-
 
 class TestLifecycle:
-    def test_closed_service_rejects_requests(self):
-        service = MatchService(two_cluster_graph())
-        service.close()
-        with pytest.raises(ServiceClosedError):
-            service.top_k("A//B", 1)
-        with pytest.raises(ServiceClosedError):
-            service.submit("A//B", 1)
-        with pytest.raises(ServiceClosedError):
-            service.apply_updates(edges_added=[("a0", "b0")])
-
     def test_bad_construction(self):
         with pytest.raises(ServiceError):
             MatchService(two_cluster_graph(), max_workers=0)

@@ -16,7 +16,6 @@ from repro.engine.core import MatchEngine
 from repro.exceptions import (
     DeadlineExceededError,
     EngineError,
-    ServiceClosedError,
     ServiceError,
     ShardUnavailableError,
 )
@@ -319,17 +318,6 @@ def test_from_manifest_and_from_index(tmp_path, small_graph, flat):
         )
     finally:
         via_dispatch.close()
-
-
-def test_closed_service_refuses_requests(small_graph):
-    service = ShardedMatchService(small_graph, num_shards=2)
-    service.close()
-    assert service.closed
-    with pytest.raises(ServiceClosedError):
-        service.top_k(QUERIES[0], 3)
-    with pytest.raises(ServiceClosedError):
-        service.submit(QUERIES[0], 3)
-    service.close()  # idempotent
 
 
 def test_workers_are_reaped_on_close(small_graph):

@@ -6,7 +6,7 @@ edges, subspace counts).  These are the highest-level fidelity checks in
 the suite.
 """
 
-from repro import TreeMatcher
+from repro import MatchEngine
 from repro.closure.store import ClosureStore
 from repro.core.topk import TopkEnumerator
 from repro.core.topk_en import TopkEN
@@ -17,7 +17,7 @@ class TestFigure1Narrative:
     """Introduction: top-k tree matching over a patent citation graph."""
 
     def test_story(self, figure1_graph, figure1_query):
-        matcher = TreeMatcher(figure1_graph)
+        matcher = MatchEngine(figure1_graph, backend="full", algorithm="topk-en")
         matches = matcher.top_k(figure1_query, 10)
 
         # "Figures 1(c) and 1(d) give the top-1 and top-2 matches ... with
@@ -97,7 +97,7 @@ class TestExample34Enumeration:
     """Example 3.4: the exact replacement sequence at the c-position."""
 
     def test_replacement_sequence(self, figure4_graph, figure4_query):
-        matcher = TreeMatcher(figure4_graph)
+        matcher = MatchEngine(figure4_graph, backend="full", algorithm="topk-en")
         matches = matcher.top_k(figure4_query, 10, algorithm="topk")
         assert [(m.score, m.assignment["u3"]) for m in matches] == [
             (3, "v5"),
@@ -134,7 +134,7 @@ class TestSection6Protocol:
         from repro.workloads import build_dataset, random_query_tree
 
         graph = build_dataset("GS1", scale=1 / 100)
-        matcher = TreeMatcher(graph)
+        matcher = MatchEngine(graph, backend="full", algorithm="topk-en")
         query = random_query_tree(matcher.closure, 5, seed=1)
         reference = None
         for algorithm in ("dp-b", "dp-p", "topk", "topk-en"):

@@ -11,7 +11,8 @@ import pytest
 
 from repro.closure.hybrid import HybridStore
 from repro.closure.ondemand import OnDemandStore
-from repro.core import TreeMatcher, diverse_top_k
+from repro.core import diverse_top_k
+from repro.engine import MatchEngine
 from repro.core.topk_en import TopkEN
 from repro.graph.generators import citation_graph
 from repro.gpm import KGPMEngine
@@ -23,7 +24,7 @@ from repro.workloads import random_query_tree
 @pytest.fixture(scope="module")
 def workload():
     graph = citation_graph(800, num_labels=40, seed=17)
-    matcher = TreeMatcher(graph, block_size=16)
+    matcher = MatchEngine(graph, backend="full", algorithm="topk-en", block_size=16)
     query = random_query_tree(matcher.closure, 12, seed=5)
     return graph, matcher, query
 
@@ -45,7 +46,7 @@ class TestCorePipeline:
 
     def test_lazy_engine_saves_top1_loads(self, workload):
         _, matcher, query = workload
-        engine = matcher.engine(query, "topk-en")
+        engine = matcher.engine_for(query, algorithm="topk-en")
         engine.compute_first()
         from repro.runtime.graph import build_runtime_graph
 
@@ -54,7 +55,7 @@ class TestCorePipeline:
 
     def test_diversity_at_scale(self, workload):
         _, matcher, query = workload
-        engine = matcher.engine(query, "topk")
+        engine = matcher.engine_for(query, algorithm="topk")
         diverse = diverse_top_k(engine, 5, min_distance=3)
         for i, a in enumerate(diverse):
             for b in diverse[i + 1 :]:
