@@ -1,5 +1,7 @@
 """MatchEngine construction: config validation, builder, prepared queries."""
 
+import warnings
+
 import pytest
 
 from repro.engine import EngineConfig, MatchEngine
@@ -94,6 +96,39 @@ class TestEngineBasics:
         q2 = QueryTree({0: "c", 1: "d"}, [(0, 1)])
         assert engine.top_k(q1, 1)[0].score == 1
         assert engine.top_k(q2, 4)[-1].score == 4
+
+
+class TestDeprecatedFacade:
+    """The MatchEngine calls that replace the removed ``TreeMatcher`` /
+    ``top_k_tree_matches`` facade answer as the facade did, without a
+    deprecation warning."""
+
+    def test_one_shot_warns(self, figure4_graph, figure4_query):
+        import repro
+
+        assert not hasattr(repro, "top_k_tree_matches")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            matches = MatchEngine(figure4_graph, backend="full").top_k(
+                figure4_query, 1
+            )
+        assert matches[0].score == 3
+
+    def test_shim_matches_engine(self, figure4_graph, figure4_query):
+        full = MatchEngine(figure4_graph, backend="full")
+        planned = MatchEngine(figure4_graph)
+        for algorithm in ("topk-en", "dp-b", "brute-force"):
+            assert [m.score for m in full.top_k(figure4_query, 3, algorithm=algorithm)] == [
+                m.score for m in planned.top_k(figure4_query, 3, algorithm=algorithm)
+            ]
+
+    def test_shim_engine_object_for_brute_force(self, figure4_graph, figure4_query):
+        from repro.core.brute_force import BruteForceEngine
+
+        engine = MatchEngine(figure4_graph, backend="full")
+        obj = engine.engine_for(figure4_query, algorithm="brute-force")
+        assert isinstance(obj, BruteForceEngine)
+        assert [m.score for m in obj.top_k(2)] == [3, 4]
 
 
 class TestPreparedQueries:
