@@ -54,7 +54,8 @@ generations), :mod:`repro.shard` (label-range shards, scatter-gather),
 (run-time graphs and L/H slots), :mod:`repro.core` (Topk, Topk-EN, DP-B,
 DP-P), :mod:`repro.twig` (general twig queries), :mod:`repro.gpm`
 (graph-pattern matching), :mod:`repro.workloads` (paper datasets/query
-sets), :mod:`repro.bench` (experiment harness).
+sets), :mod:`repro.bench` (the paper-figure harness behind
+``benchmarks/``; performance is measured by ``perfbench/``).
 """
 
 from repro.core.matches import Match

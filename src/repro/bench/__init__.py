@@ -10,11 +10,6 @@ from repro.bench.experiments import (
     run_algorithm,
 )
 from repro.bench.figures import print_bars, render_bars
-from repro.bench.serving import (
-    default_workload,
-    print_serving_report,
-    serving_benchmark,
-)
 from repro.bench.harness import (
     DEFAULT_COST_MODEL,
     AlgoRun,
@@ -46,7 +41,4 @@ __all__ = [
     "DEFAULT_COST_MODEL",
     "render_bars",
     "print_bars",
-    "serving_benchmark",
-    "print_serving_report",
-    "default_workload",
 ]

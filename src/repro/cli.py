@@ -8,9 +8,6 @@ Subcommands::
     python -m repro.cli query   show  'A//~db+systems'
     python -m repro.cli stats   --graph g.tsv
     python -m repro.cli index   --graph g.tsv --backend full --out g.ridx
-    python -m repro.cli serve-bench --nodes 300 --requests 120 --workers 1,4
-    python -m repro.cli bench   suite --quick --out BENCH_SMOKE.json
-    python -m repro.cli bench   validate BENCH_PR9.json
     python -m repro.cli lint    --format json
     python -m repro.cli compact --index g.ridx --wal g.wal
     python -m repro.cli delta   info g.wal
@@ -31,23 +28,17 @@ closure/theta statistics (the offline cost of Table 2); ``index`` builds
 and saves an index (the paper's offline phase, paid once per dataset) —
 binary ``.ridx`` by default (mmap-paged, zero-parse cold start), JSON
 with ``--format json``; ``--load-index`` sniffs the format either way;
-``serve-bench`` smoke-benchmarks the :mod:`repro.service` layer (warm
-plan/result caches vs a fresh engine per call, 1-N workers);
-``bench suite`` runs the canonical perf matrix and writes a
-machine-readable ``BENCH_*.json`` (``bench validate`` checks one against
-the schema — the CI gate); ``lint`` runs the :mod:`repro.devtools.lint`
-contract checks (the DESIGN.md invariants, driven by
-``config/layers.toml``) over the source tree; ``compact`` folds a
-write-ahead delta
-segment into the next ``.ridx`` generation offline (the swap protocol
-DESIGN.md specifies); ``delta info`` inspects a WAL segment or a
-generations manifest without touching it; ``generate`` writes one of
-the synthetic workload graphs.
+``lint`` runs the :mod:`repro.devtools.lint` contract checks (the
+DESIGN.md invariants, driven by ``config/layers.toml``) over the source
+tree; ``compact`` folds a write-ahead delta segment into the next
+``.ridx`` generation offline (the swap protocol DESIGN.md specifies);
+``delta info`` inspects a WAL segment or a generations manifest without
+touching it; ``generate`` writes one of the synthetic workload graphs.
 
 Exit codes are uniform across subcommands: **0** success (clean run, no
-findings), **1** findings (``lint`` violations, ``bench validate``
-schema errors), **2** usage or runtime errors (bad flags, missing or
-malformed input files, engine misconfiguration).
+findings), **1** findings (``lint`` violations), **2** usage or runtime
+errors (bad flags, missing or malformed input files, engine
+misconfiguration).
 
 With ``pip install -e .`` the same interface is exposed as the ``repro``
 console script.
@@ -207,60 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also report the per-shard write-ahead segments under DIR "
         "(generation vs. manifest epoch, pending records, torn tails)",
     )
-
-    serve = sub.add_parser(
-        "serve-bench",
-        help="throughput smoke benchmark of the MatchService serving layer",
-    )
-    serve.add_argument(
-        "--graph", help="data graph TSV (default: a synthetic citation graph)"
-    )
-    serve.add_argument(
-        "--nodes", type=int, default=300,
-        help="synthetic graph size when no --graph is given",
-    )
-    serve.add_argument("--requests", type=int, default=120, help="request count")
-    serve.add_argument(
-        "--num-queries", type=int, default=6,
-        help="distinct queries in the round-robin workload",
-    )
-    serve.add_argument("-k", type=int, default=10)
-    serve.add_argument(
-        "--workers", default="1,2,4,8",
-        help="comma-separated worker counts for the scaling pass",
-    )
-    serve.add_argument(
-        "--backend", choices=("full", "ondemand", "hybrid", "pll"),
-        default="full",
-    )
-    serve.add_argument("--seed", type=int, default=0)
-
-    bench = sub.add_parser(
-        "bench", help="reproducible performance suite (BENCH_*.json)"
-    )
-    bsub = bench.add_subparsers(dest="bench_command", required=True)
-    bsuite = bsub.add_parser(
-        "suite",
-        help="run the fixed backends x algorithms x k matrix and write a "
-        "canonical BENCH JSON document",
-    )
-    bsuite.add_argument(
-        "--quick", action="store_true",
-        help="shrunken matrix for CI smoke runs",
-    )
-    bsuite.add_argument(
-        "--out", default="BENCH_PR9.json",
-        help="output JSON path (default: BENCH_PR9.json)",
-    )
-    bsuite.add_argument(
-        "--nodes", type=int, default=None,
-        help="override the workload graph size",
-    )
-    bsuite.add_argument("--seed", type=int, default=0)
-    bvalidate = bsub.add_parser(
-        "validate", help="check a BENCH JSON document against the schema"
-    )
-    bvalidate.add_argument("path", help="BENCH JSON document to validate")
 
     lint = sub.add_parser(
         "lint",
@@ -610,71 +547,6 @@ def _cmd_shard(args) -> int:
     return 0
 
 
-def _cmd_serve_bench(args) -> int:
-    from repro.bench.serving import print_serving_report, serving_benchmark
-
-    try:
-        workers = tuple(
-            int(part) for part in str(args.workers).split(",") if part.strip()
-        )
-    except ValueError:
-        print(
-            f"error: --workers must be comma-separated integers, "
-            f"got {args.workers!r}",
-            file=sys.stderr,
-        )
-        return 2
-    if not workers or any(count <= 0 for count in workers):
-        print("error: --workers needs positive integers", file=sys.stderr)
-        return 2
-    graph = load_graph_tsv(args.graph) if args.graph else None
-    report = serving_benchmark(
-        graph,
-        num_nodes=args.nodes,
-        num_queries=args.num_queries,
-        k=args.k,
-        requests=args.requests,
-        workers=workers,
-        backend=args.backend,
-        seed=args.seed,
-    )
-    print_serving_report(report)
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    from repro.bench.suite import (
-        print_suite_report,
-        run_suite,
-        validate_bench_document,
-        write_suite,
-    )
-
-    if args.bench_command == "validate":
-        import json as _json
-
-        with open(args.path, "r", encoding="utf-8") as handle:
-            document = _json.load(handle)
-        errors = validate_bench_document(document)
-        if errors:
-            for error in errors:
-                print(f"error: {error}", file=sys.stderr)
-            # Findings, not a usage problem: the document was readable
-            # but fails the schema — exit 1 (same contract as `lint`;
-            # an unreadable path still exits 2 via the OSError catch).
-            return 1
-        print(
-            f"ok: {args.path} ({len(document['cells'])} cells, "
-            f"commit {document['commit'][:12]})"
-        )
-        return 0
-    document = run_suite(quick=args.quick, seed=args.seed, nodes=args.nodes)
-    print_suite_report(document)
-    write_suite(args.out, document)
-    print(f"# wrote {args.out}", file=sys.stderr)
-    return 0
-
-
 def _cmd_lint(args) -> int:
     from pathlib import Path
 
@@ -829,8 +701,6 @@ def main(argv: list[str] | None = None) -> int:
         "stats": _cmd_stats,
         "index": _cmd_index,
         "shard": _cmd_shard,
-        "serve-bench": _cmd_serve_bench,
-        "bench": _cmd_bench,
         "lint": _cmd_lint,
         "compact": _cmd_compact,
         "delta": _cmd_delta,

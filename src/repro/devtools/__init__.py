@@ -7,6 +7,8 @@ locks the delta/serving layers guard their state with — without creating
 an upward dependency.  The static side, :mod:`repro.devtools.lint`,
 never imports the code it checks: it works on source text and the
 declarative layer DAG in ``config/layers.toml``.
+:mod:`repro.devtools.benchcompare` compares two sets of perfbench runs
+against the bounds in ``BENCHMARK.json``.
 
 Nothing is imported eagerly here: ``lockcheck`` must stay cheap to pull
 in from hot modules, and ``lint`` drags in the TOML machinery only when

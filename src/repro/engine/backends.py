@@ -156,7 +156,7 @@ class _BackendBase:
         Every backend reports ``backend``, ``build_seconds``,
         ``pair_count`` (materialized reachability pairs or label entries)
         and ``bytes_estimate`` (measured resident bytes of the offline
-        artifacts) — the schema the bench suite and the serving layer
+        artifacts) — the schema the benchmark and the serving layer
         consume without per-backend special cases.  Subclasses append
         their own size/cache counters (``closure_pairs``, table entry
         counts, ...), which :meth:`MatchEngine.statistics` reports.

@@ -472,48 +472,6 @@ class TestGenerate:
         assert graph.num_nodes == 60
 
 
-class TestServeBench:
-    def test_synthetic_smoke(self, capsys):
-        code = main(
-            [
-                "serve-bench",
-                "--nodes", "60",
-                "--requests", "10",
-                "--num-queries", "3",
-                "-k", "3",
-                "--workers", "1,2",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "warm service speedup" in out
-        assert "worker scaling" in out
-
-    def test_runs_on_a_graph_file(self, graph_file, capsys):
-        code = main(
-            [
-                "serve-bench",
-                "--graph", str(graph_file),
-                "--requests", "6",
-                "--num-queries", "2",
-                "-k", "2",
-                "--workers", "1",
-            ]
-        )
-        assert code == 0
-        assert "serving benchmark: 4 nodes" in capsys.readouterr().out
-
-    def test_bad_workers_rejected(self, capsys):
-        assert main(["serve-bench", "--workers", "1,x"]) == 2
-        assert "comma-separated integers" in capsys.readouterr().err
-        assert main(["serve-bench", "--workers", "0"]) == 2
-        assert "positive integers" in capsys.readouterr().err
-
-    def test_nonpositive_requests_exit_cleanly(self, capsys):
-        assert main(["serve-bench", "--nodes", "40", "--requests", "0"]) == 2
-        assert "error:" in capsys.readouterr().err
-
-
 class TestShardCli:
     @pytest.fixture
     def manifest_path(self, tmp_path, graph_file):
@@ -664,8 +622,7 @@ class TestDeltaCli:
 
 class TestLint:
     """`repro lint` exit codes: 0 clean / 1 findings / 2 usage errors —
-    the uniform contract the module docstring documents (shared with
-    `bench validate`, pinned in tests/bench/test_suite.py)."""
+    the uniform contract the module docstring documents."""
 
     @pytest.fixture
     def dirty_repo(self, tmp_path):
