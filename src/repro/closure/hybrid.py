@@ -100,6 +100,12 @@ class HybridStore:
                 return False
         return True
 
+    def _side(self, tail_label: Label | None, head_label: Label | None):
+        """The store serving a lookup: hot tables or on-demand searches."""
+        if self._is_hot(tail_label, head_label):
+            return self._materialized
+        return self._ondemand
+
     # ------------------------------------------------------------------
     # Store interface
     # ------------------------------------------------------------------
@@ -114,30 +120,45 @@ class HybridStore:
         return self._materialized.closure
 
     @property
+    def interner(self):
+        """The id space of :meth:`read_pair_groups` (both sides share it:
+        interning is a pure function of the graph)."""
+        return self._materialized.interner
+
+    @property
     def distance_index(self):
         """The 2-hop index answering point distance queries (cold side)."""
         return self._ondemand.distance_index
 
     def incoming_group(self, head: NodeId, tail_label: Label | None) -> BlockTable:
         """``L^alpha_v`` from the hot tables when possible."""
-        head_label = self._graph.label(head)
-        if self._is_hot(tail_label, head_label):
-            return self._materialized.incoming_group(head, tail_label)
-        return self._ondemand.incoming_group(head, tail_label)
+        side = self._side(tail_label, self._graph.label(head))
+        return side.incoming_group(head, tail_label)
 
     def read_d_table(
         self, tail_label: Label | None, head_label: Label | None
     ) -> dict[NodeId, float]:
         """``D^alpha_beta`` from the hot side or recomputed."""
-        if self._is_hot(tail_label, head_label):
-            return self._materialized.read_d_table(tail_label, head_label)
-        return self._ondemand.read_d_table(tail_label, head_label)
+        return self._side(tail_label, head_label).read_d_table(
+            tail_label, head_label
+        )
 
     def read_e_table(self, tail_label, head_label):
         """``E^alpha_beta`` from the hot side or recomputed."""
-        if self._is_hot(tail_label, head_label):
-            return self._materialized.read_e_table(tail_label, head_label)
-        return self._ondemand.read_e_table(tail_label, head_label)
+        return self._side(tail_label, head_label).read_e_table(
+            tail_label, head_label
+        )
+
+    def read_pair_groups(
+        self,
+        tail_label: Label | None,
+        head_label: Label | None,
+        direct_only: bool = False,
+    ):
+        """Full ``L^alpha_beta`` groups in id space, hot tables when possible."""
+        return self._side(tail_label, head_label).read_pair_groups(
+            tail_label, head_label, direct_only
+        )
 
     def read_pair_table(
         self,
@@ -150,12 +171,8 @@ class HybridStore:
         Gives the fully-loaded algorithms (Topk, DP-B, brute force) the
         same interface as the other stores.
         """
-        if self._is_hot(tail_label, head_label):
-            return self._materialized.read_pair_table(
-                tail_label, head_label, direct_only=direct_only
-            )
-        return self._ondemand.read_pair_table(
-            tail_label, head_label, direct_only=direct_only
+        return self._side(tail_label, head_label).read_pair_table(
+            tail_label, head_label, direct_only
         )
 
     def distance(self, tail: NodeId, head: NodeId) -> float | None:

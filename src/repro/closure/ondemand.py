@@ -32,9 +32,11 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left
-from typing import Iterator
+from itertools import compress
+from typing import Iterator, Sequence
 
 from repro.closure.pll import PrunedLandmarkIndex
+from repro.closure.store import decode_pair_groups
 from repro.compact import CompactGraph, NodeInterner
 from repro.graph.digraph import Label, LabeledDiGraph, NodeId
 from repro.storage.blocks import DEFAULT_BLOCK_SIZE, BlockTable, TableDirectory
@@ -110,6 +112,11 @@ class OnDemandStore:
         """The data graph."""
         return self._graph
 
+    @property
+    def interner(self) -> NodeInterner:
+        """The id space of :meth:`read_pair_groups`."""
+        return self._interner
+
     def incoming_group(self, head: NodeId, tail_label: Label | None) -> BlockTable:
         """``L^alpha_v`` assembled on demand (metered open + cached)."""
         self.counter.record_open()
@@ -168,31 +175,48 @@ class OnDemandStore:
                 result[resolve(head_id)] = best
         return result
 
+    def read_pair_groups(
+        self,
+        tail_label: Label | None,
+        head_label: Label | None,
+        direct_only: bool = False,
+    ) -> Iterator[tuple[int, Sequence[int], Sequence[float]]]:
+        """Every ``L`` group of a label pair in id space, assembled lazily.
+
+        Mirrors :meth:`repro.closure.store.ClosureStore.read_pair_groups`
+        (one metered open): one backward search per qualifying head node
+        supplies its ``(head, tails, distances)`` group, and
+        ``direct_only`` keeps only closure edges that are also data-graph
+        edges (``/`` axis).  Empty groups are skipped.
+        """
+        self.counter.record_open()
+        has_edge = self._compact.has_edge
+        for head_id in self._heads_with_label(head_label):
+            sources, dists, lo, hi = self._incoming_slice(head_id, tail_label)
+            if lo == hi:
+                continue
+            tails, run = sources[lo:hi], dists[lo:hi]
+            if direct_only:
+                keep = [has_edge(source_id, head_id) for source_id in tails]
+                tails = list(compress(tails, keep))
+                if not tails:
+                    continue
+                run = list(compress(run, keep))
+            yield head_id, tails, run
+
     def read_pair_table(
         self,
         tail_label: Label | None,
         head_label: Label | None,
         direct_only: bool = False,
     ) -> Iterator[tuple[NodeId, NodeId, float]]:
-        """Stream every closure triple for a label pair, assembled lazily.
-
-        Mirrors :meth:`repro.closure.store.ClosureStore.read_pair_table`
+        """:meth:`read_pair_groups` as ``(tail, head, distance)`` triples,
         so the fully-loaded algorithms (Topk, DP-B, brute force) run over
-        this store unchanged: one backward search per qualifying head node
-        supplies the triples, and ``direct_only`` keeps only closure edges
-        that are also data-graph edges (``/`` axis).
-        """
-        self.counter.record_open()
-        resolve = self._interner.resolve
-        has_edge = self._compact.has_edge
-        for head_id in self._heads_with_label(head_label):
-            sources, dists, lo, hi = self._incoming_slice(head_id, tail_label)
-            head = resolve(head_id)
-            for k in range(lo, hi):
-                source_id = sources[k]
-                if direct_only and not has_edge(source_id, head_id):
-                    continue
-                yield resolve(source_id), head, dists[k]
+        this store unchanged."""
+        return decode_pair_groups(
+            self._interner.nodes(),
+            self.read_pair_groups(tail_label, head_label, direct_only),
+        )
 
     def read_e_table(
         self, tail_label: Label | None, head_label: Label | None

@@ -35,10 +35,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Iterator
+from itertools import compress
+from typing import Iterator, Sequence
 
 from repro.closure.transitive import TransitiveClosure
-from repro.compact import buffer_bytes
+from repro.compact import NodeInterner, buffer_bytes
 from repro.exceptions import ClosureError
 from repro.graph.digraph import Label, LabeledDiGraph, NodeId
 from repro.storage.blocks import (
@@ -61,6 +62,20 @@ def _fmt(label: Label) -> str:
     return repr(label)
 
 
+def decode_pair_groups(
+    nodes: Sequence[NodeId],
+    groups: Iterator[tuple[int, Sequence[int], Sequence[float]]],
+) -> Iterator[tuple[NodeId, NodeId, float]]:
+    """Decode a ``read_pair_groups`` stream into ``(tail, head, dist)``.
+
+    ``nodes`` is the id-ordered node tuple of the store's interner.
+    """
+    for head_id, tails, dists in groups:
+        head = nodes[head_id]
+        for tail_id, dist in zip(tails, dists):
+            yield nodes[tail_id], head, dist
+
+
 class _PairTable:
     """Columnar ``L^alpha_beta`` + ``E^alpha_beta`` for one label pair.
 
@@ -72,7 +87,7 @@ class _PairTable:
 
     __slots__ = (
         "tails", "dists", "direct", "heads", "offsets",
-        "e_tails", "e_heads", "e_dists",
+        "e_tails", "e_heads", "e_dists", "_blocks",
     )
 
     def __init__(self, entries: list[tuple[int, float, int, int]]) -> None:
@@ -97,6 +112,7 @@ class _PairTable:
         self.e_tails = array("i", sorted(best_out))
         self.e_dists = array("d", (best_out[t][0] for t in self.e_tails))
         self.e_heads = array("i", (best_out[t][1] for t in self.e_tails))
+        self._blocks = None
 
     @classmethod
     def from_columns(
@@ -113,6 +129,7 @@ class _PairTable:
         self.tails, self.dists, self.direct = tails, dists, direct
         self.heads, self.offsets = heads, offsets
         self.e_tails, self.e_heads, self.e_dists = e_tails, e_heads, e_dists
+        self._blocks = None
         return self
 
     @property
@@ -122,6 +139,17 @@ class _PairTable:
     @property
     def num_groups(self) -> int:
         return len(self.heads)
+
+    def num_blocks(self, block_size: int) -> int:
+        """Blocks a full read touches: every group starts a fresh block."""
+        if self._blocks is None or self._blocks[0] != block_size:
+            offsets = self.offsets
+            count = sum(
+                (offsets[j + 1] - offsets[j] + block_size - 1) // block_size
+                for j in range(len(self.heads))
+            )
+            self._blocks = (block_size, count)
+        return self._blocks[1]
 
     def group_bounds(self, head_id: int) -> tuple[int, int] | None:
         """The ``[start, stop)`` run of ``head_id``'s group, or ``None``."""
@@ -270,6 +298,11 @@ class ClosureStore:
         """The in-memory closure (used for unmetered distance probes)."""
         return self._closure
 
+    @property
+    def interner(self) -> NodeInterner:
+        """The id space of :meth:`read_pair_groups`."""
+        return self._interner
+
     def _pairs_matching(
         self, tail_label: Label | None, head_label: Label | None
     ) -> Iterator[tuple[Label, Label]]:
@@ -373,48 +406,53 @@ class ClosureStore:
             f"L/*/{head!r}", merged, self.counter, self.directory.block_size
         )
 
+    def read_pair_groups(
+        self,
+        tail_label: Label | None,
+        head_label: Label | None,
+        direct_only: bool = False,
+    ) -> Iterator[tuple[int, Sequence[int], Sequence[float]]]:
+        """Read every ``L`` group of a label pair in id space (fully metered).
+
+        This is the run-time-graph identification read of Section 3.1:
+        each matching ``L^alpha_beta`` table is opened once and all of its
+        blocks are read.  Yields ``(head, tails, distances)`` per head
+        group, as ids of :attr:`interner`, in table order; ``direct_only``
+        keeps only closure edges that are also data-graph edges (``/``
+        axis) and skips groups it leaves empty.  The compiled kernel tier
+        binds from this; :meth:`read_pair_table` decodes it to ``NodeId``
+        triples.
+        """
+        block_size = self.directory.block_size
+        for pair in self._pairs_matching(tail_label, head_label):
+            table = self._pair_tables[pair]
+            self.counter.record_open()
+            self.counter.record_read(
+                table.num_entries, table.num_blocks(block_size)
+            )
+            heads, offsets = table.heads, table.offsets
+            tails, dists, direct = table.tails, table.dists, table.direct
+            for j in range(len(heads)):
+                start, stop = offsets[j], offsets[j + 1]
+                if not direct_only:
+                    yield heads[j], tails[start:stop], dists[start:stop]
+                    continue
+                keep = direct[start:stop]
+                run = list(compress(tails[start:stop], keep))
+                if run:
+                    yield heads[j], run, list(compress(dists[start:stop], keep))
+
     def read_pair_table(
         self,
         tail_label: Label | None,
         head_label: Label | None,
         direct_only: bool = False,
     ) -> Iterator[tuple[NodeId, NodeId, float]]:
-        """Read every closure triple for a label pair (fully metered).
-
-        This is the run-time-graph identification read of Section 3.1: the
-        full ``L^alpha_beta`` table streamed from storage.  ``direct_only``
-        filters to closure edges that are also data-graph edges (``/``
-        axis).
-        """
-        nodes = self._interner.nodes()
-        block_size = self.directory.block_size
-        record_read = self.counter.record_read
-        for pair in self._pairs_matching(tail_label, head_label):
-            self.counter.record_open()
-            table = self._pair_tables[pair]
-            tails, dists, direct = table.tails, table.dists, table.direct
-            for j in range(table.num_groups):
-                head = nodes[table.heads[j]]
-                name = f"L/{_fmt(pair[0])}/{_fmt(pair[1])}/{head!r}"
-                position = table.offsets[j]
-                stop = table.offsets[j + 1]
-                while position < stop:
-                    chunk_end = min(position + block_size, stop)
-                    record_read(name, chunk_end - position)
-                    if direct_only:
-                        for tail_id, dist, flag in zip(
-                            tails[position:chunk_end],
-                            dists[position:chunk_end],
-                            direct[position:chunk_end],
-                        ):
-                            if flag:
-                                yield nodes[tail_id], head, dist
-                    else:
-                        for tail_id, dist in zip(
-                            tails[position:chunk_end], dists[position:chunk_end]
-                        ):
-                            yield nodes[tail_id], head, dist
-                    position = chunk_end
+        """:meth:`read_pair_groups` as ``(tail, head, distance)`` triples."""
+        return decode_pair_groups(
+            self._interner.nodes(),
+            self.read_pair_groups(tail_label, head_label, direct_only),
+        )
 
     def read_d_table(
         self, tail_label: Label | None, head_label: Label | None
@@ -430,10 +468,9 @@ class ClosureStore:
         for pair in self._pairs_matching(tail_label, head_label):
             table = self._pair_tables[pair]
             self.counter.record_open()
-            name = f"D/{_fmt(pair[0])}/{_fmt(pair[1])}"
             for start in range(0, table.num_groups, block_size):
                 chunk_end = min(start + block_size, table.num_groups)
-                self.counter.record_read(name, chunk_end - start)
+                self.counter.record_read(chunk_end - start)
                 for j in range(start, chunk_end):
                     node = resolve(table.heads[j])
                     dist = table.dists[table.offsets[j]]
@@ -456,11 +493,10 @@ class ClosureStore:
         for pair in self._pairs_matching(tail_label, head_label):
             table = self._pair_tables[pair]
             self.counter.record_open()
-            name = f"E/{_fmt(pair[0])}/{_fmt(pair[1])}"
             count = len(table.e_tails)
             for start in range(0, count, block_size):
                 chunk_end = min(start + block_size, count)
-                self.counter.record_read(name, chunk_end - start)
+                self.counter.record_read(chunk_end - start)
                 for k in range(start, chunk_end):
                     tail = resolve(table.e_tails[k])
                     dist = table.e_dists[k]
@@ -497,9 +533,7 @@ class ClosureStore:
         }
         for table in self._pair_tables.values():
             stats["l_entries"] += table.num_entries
-            for j in range(table.num_groups):
-                group_len = table.offsets[j + 1] - table.offsets[j]
-                stats["l_blocks"] += (group_len + block_size - 1) // block_size
+            stats["l_blocks"] += table.num_blocks(block_size)
             stats["d_entries"] += table.num_groups
             stats["e_entries"] += len(table.e_tails)
         stats["total_entries"] = (

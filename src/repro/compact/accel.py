@@ -2,10 +2,11 @@
 
 The compact layer is pure standard library by default.  When the
 environment variable ``REPRO_COMPACT_NUMPY`` is set to ``1``/``true``/
-``yes``/``on`` *and* numpy is importable, bulk operations (collecting
-reached ids out of a distance buffer) take a vectorized path.  Numpy is
-never required: with the flag off or numpy missing, every caller falls
-back to the stdlib loop and produces bit-identical results.
+``yes``/``on`` *and* numpy is importable, one bulk operation takes a
+vectorized path: collecting the reached ids out of a dense distance
+buffer (``CompactGraph._collect``, behind every closure row and backward
+search).  Numpy is never required: with the flag off or numpy missing,
+the stdlib loop runs and produces bit-identical results.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ def numpy_or_none():
     """The numpy module when the flag is on and numpy imports, else None."""
     if not numpy_enabled():
         return None
-    return _import_numpy()
-
-
-def _import_numpy():
     if not _cache:
         try:
             import numpy
@@ -36,60 +33,3 @@ def _import_numpy():
             numpy = None
         _cache.append(numpy)
     return _cache[0]
-
-
-def resolve_numpy(override=None):
-    """Resolve the numpy module for an explicit or flag-driven request.
-
-    ``override=None`` defers to the ``REPRO_COMPACT_NUMPY`` flag (the
-    common path); ``override=True`` requests numpy regardless of the
-    flag (returns ``None`` when numpy is not importable); ``override=
-    False`` forces the stdlib path.  Callers that expose a
-    ``use_numpy`` parameter (the kernel executor, benches, tests) route
-    through this so both paths stay explicitly exercisable.
-    """
-    if override is False:
-        return None
-    if override is True:
-        return _import_numpy()
-    return numpy_or_none()
-
-
-def lower_slots(np, parents, children, dists, bs_child, alive_child,
-                reprs_child, num_parents):
-    """Vectorized slot lowering for one query edge (the kernel ACCUM op).
-
-    Given the probed closure rows of an edge as parallel columns
-    (``parents``/``children`` are candidate indexes, ``dists`` the
-    closure distances), keep rows whose child is viable, key each row by
-    ``bs[child] + dist`` (one binary float op — the interpreter's exact
-    arithmetic), and group-sort rows by ``(parent, key, repr(child))``,
-    the interpreter's frozen ``StaticSlot`` order.  Returns
-    ``(offsets, keys, childs, mins)`` where ``offsets`` is the CSR
-    group index over parents and ``mins[p]`` is the best key of parent
-    ``p``'s group (``inf`` for an empty group — the interpreter's
-    dead-branch marker).
-    """
-    parents = np.asarray(parents, dtype=np.int64)
-    children = np.asarray(children, dtype=np.int64)
-    dists = np.asarray(dists, dtype=np.float64)
-    bs_child = np.asarray(bs_child, dtype=np.float64)
-    alive_child = np.asarray(alive_child, dtype=bool)
-    reprs_child = np.asarray(reprs_child, dtype=object)
-
-    mask = alive_child[children] if len(children) else np.zeros(0, dtype=bool)
-    p = parents[mask]
-    c = children[mask]
-    keys = bs_child[c] + dists[mask]
-    # lexsort: last key is primary -> group by parent, then (key, repr).
-    order = np.lexsort((reprs_child[c], keys, p))
-    p_sorted = p[order]
-    keys_sorted = keys[order]
-    childs_sorted = c[order]
-    offsets = np.searchsorted(p_sorted, np.arange(num_parents + 1))
-    mins = np.full(num_parents, np.inf)
-    starts = offsets[:-1]
-    nonempty = offsets[1:] > starts
-    if len(keys_sorted):
-        mins[nonempty] = keys_sorted[starts[nonempty]]
-    return offsets, keys_sorted, childs_sorted, mins

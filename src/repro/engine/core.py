@@ -38,7 +38,6 @@ from typing import Iterable
 
 from repro.closure.store import ClosureStore
 from repro.closure.transitive import TransitiveClosure
-from repro.compact import accel
 from repro.core.baseline_dp import DPBEnumerator
 from repro.core.baseline_dpp import DPPEnumerator
 from repro.core.brute_force import BruteForceEngine
@@ -125,11 +124,11 @@ class MatchEngine:
         self._kgpm_artifacts: tuple[TransitiveClosure, ClosureStore] | None = None
         self._kgpm_engines: OrderedDict[tuple[str, int], KGPMEngine] = OrderedDict()
         self._kgpm_lock = make_lock("engine.kgpm")
-        # Compiled-tier bindings: program (identity) x bind mode -> the
+        # Compiled-tier bindings: program (identity) -> the
         # BoundProgram over this engine's store.  Guarded like the kGPM
         # cache; bound arrays are immutable so sharing across threads is
         # safe, and each execution starts a fresh KernelRun.
-        self._kernel_bindings: OrderedDict[tuple, "object"] = OrderedDict()
+        self._kernel_bindings: OrderedDict[KernelProgram, "object"] = OrderedDict()
         self._kernel_lock = make_lock("engine.kernel")
 
     # ------------------------------------------------------------------
@@ -324,16 +323,13 @@ class MatchEngine:
     def _bound_program(self, compiled: CompiledQuery, program: KernelProgram):
         """Bind ``program`` to this engine's store, LRU-cached.
 
-        Keyed by program identity and bind mode (scalar vs numpy, per
-        the ``REPRO_COMPACT_NUMPY`` flag at call time); the cached value
-        keeps the program alive, so identity keys cannot alias.
+        Keyed by program identity; the cached value keeps the program
+        alive, so identity keys cannot alias.
         """
-        np_mod = accel.resolve_numpy(None)
-        key = (program, "numpy" if np_mod is not None else "scalar")
         with self._kernel_lock:
-            bound = self._kernel_bindings.get(key)
+            bound = self._kernel_bindings.get(program)
             if bound is not None:
-                self._kernel_bindings.move_to_end(key)
+                self._kernel_bindings.move_to_end(program)
                 return bound
         # Bind outside the lock: racing first binds are idempotent and a
         # bind dwarfs the duplicated work's lock-hold time.
@@ -342,11 +338,10 @@ class MatchEngine:
             self._backend.store,
             matcher=compiled.effective_matcher(self.config.label_matcher),
             node_weight=self.config.node_weight,
-            use_numpy=np_mod is not None,
         )
         with self._kernel_lock:
-            self._kernel_bindings[key] = bound
-            self._kernel_bindings.move_to_end(key)
+            self._kernel_bindings[program] = bound
+            self._kernel_bindings.move_to_end(program)
             while len(self._kernel_bindings) > KERNEL_BINDING_CACHE_LIMIT:
                 self._kernel_bindings.popitem(last=False)
         return bound

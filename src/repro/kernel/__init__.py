@@ -3,14 +3,14 @@
 ``compile_program`` lowers a ``CompiledQuery`` into a store-independent
 :class:`KernelProgram` (a small register-style opcode sequence plus the
 structure tables its executor needs); ``bind_program`` executes the
-scan/probe/accumulate ops against a closure store into a
-:class:`BoundProgram` of flat arrays; ``BoundProgram.run()`` starts
+scan/probe/accumulate ops against a closure store — one grouped
+interned-id read per query edge, slot rows for live parents only — into
+a :class:`BoundProgram` of flat arrays; ``BoundProgram.run()`` starts
 interpreter-exact Lawler enumerations (:class:`KernelRun`).
 
 The planner selects the tier (``QueryPlan.tier == "compiled"``); the
-``REPRO_KERNEL`` environment variable is the kill switch and
-``REPRO_COMPACT_NUMPY`` (or an explicit ``use_numpy``) selects the
-vectorized bind path.  See DESIGN.md, "Compiled kernel tier".
+``REPRO_KERNEL`` environment variable is the kill switch.  There is one
+bind path, pure stdlib.  See DESIGN.md, "Compiled kernel tier".
 """
 
 from repro.kernel.executor import BoundProgram, KernelRun, bind_program

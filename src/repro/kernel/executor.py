@@ -1,11 +1,14 @@
 """Bind + execute kernel programs over flat arrays.
 
 :func:`bind_program` runs a :class:`~repro.kernel.program.KernelProgram`
-against a closure store: it executes the SCAN/FANOUT/PROBE/DIRECT ops by
-streaming the store's pair tables into flat columns, then the ACCUM and
-ROOTS ops by lowering the interpreter's ``bs`` scores and ``StaticSlot``
-orderings into CSR arrays (offsets + keys + child indexes) frozen in the
-interpreter's exact ``(key, repr)`` tie order.  The result is a
+against a closure store, bottom-up over the query's BFS positions.  For
+each query edge it executes the PROBE op (plus the pushed-down DIRECT
+filter) as one grouped read of the store's ``L`` pair tables in interned
+id space (``read_pair_groups``), then the ACCUM op: rows of live child
+candidates are keyed by ``bs[child] + dist``, grouped by parent, and
+each group is sorted in the interpreter's exact ``(key, repr)`` tie
+order.  Only live parents get slot rows, as CSR arrays (offsets + keys +
+child indexes); ROOTS sorts the live root candidates.  The result is a
 :class:`BoundProgram` — pure arrays, no per-node objects — from which
 :meth:`BoundProgram.run` starts fresh :class:`KernelRun` enumerations
 (the PUSH op: the Lawler loop over array slices).
@@ -14,27 +17,26 @@ Equivalence contract (fuzz-pinned byte-for-byte in
 ``tests/test_differential_fuzz.py``): for every query the kernel
 supports, a :class:`KernelRun` produces the *identical* match sequence —
 same assignments, same scores, same order, including tie order — as
-``TopkEnumerator`` over ``build_runtime_graph``.  The load notes:
+``TopkEnumerator`` over ``build_runtime_graph``, and the bind reads the
+same closure blocks the interpreter's load reads.  The load notes:
 
 * ``StaticSlot`` extraction order is a pure function of the entry set
-  sorted by ``(key, repr(payload))`` — insertion order never matters —
-  so slots become pre-sorted array slices and ``ith(rank)`` becomes
-  O(1) indexing.
+  sorted by ``(key, repr(payload))``.  Each position's live candidates
+  are indexed in ``repr((qnode, node))`` order, so a child's index is
+  its tie-break rank and slots sort on ``(key, child index)``; slots
+  become pre-sorted array slices and ``ith(rank)`` becomes O(1)
+  indexing.
 * Run-time-graph viability equals ``bs``-existence, and the
   interpreter's top-down prune never removes entries from surviving
   root-reachable slots, so the kernel skips the prune entirely.
 * Dead children are *excluded* from slot rows (never carried with
-  ``inf`` keys, which would corrupt Case-2 second-best peeks); dead
-  branches surface only as ``inf`` parent totals.
+  ``inf`` keys, which would corrupt Case-2 second-best peeks): the
+  closure groups of dead heads are read (metered) but never decoded.
+  Dead parents get no slot rows at all; dead branches surface only as
+  missing parents one level up.
 * All float arithmetic replays the interpreter's operation sequence:
   ``bs[child] + dist`` per row, per-child ``+=`` of group minimums in
   children order, incremental ``score + (next - prev)`` deltas.
-
-The numpy batch path (``use_numpy=True`` or the ``REPRO_COMPACT_NUMPY``
-flag) vectorizes the bind — many candidate rows per opcode at once via
-:func:`repro.compact.accel.lower_slots` — and converts the results to
-the same stdlib arrays, so enumeration code is shared and the two paths
-are bit-identical.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ import heapq
 import itertools
 import time
 from array import array
+from operator import itemgetter
 from typing import Iterator
 
-from repro.compact import accel
 from repro.core.matches import EnumerationStats, Match
 from repro.exceptions import MatchingError
 from repro.kernel.program import KernelProgram
@@ -62,184 +64,147 @@ def bind_program(
     *,
     matcher,
     node_weight=None,
-    use_numpy: bool | None = None,
 ) -> "BoundProgram":
     """Execute the program's scan/probe/accumulate ops against ``store``.
 
     ``matcher`` is the label matcher of the compiled query
     (``compiled.effective_matcher(config.label_matcher)``);
-    ``node_weight`` the optional per-node weight callable;
-    ``use_numpy`` overrides the ``REPRO_COMPACT_NUMPY`` flag (see
-    :func:`repro.compact.accel.resolve_numpy`).
+    ``node_weight`` the optional per-node weight callable.  ``store`` is
+    any closure store with ``read_pair_groups`` and ``interner``.
 
     The bound result is store-snapshot-specific but reusable: every
     :meth:`BoundProgram.run` call starts an independent enumeration over
     the same frozen arrays, which is what makes warm repeated serving
     queries cheap.
     """
-    np = accel.resolve_numpy(use_numpy)
     started = time.perf_counter()
-    graph = store.graph
-    alphabet = graph.labels()
+    alphabet = store.graph.labels()
+    interner = store.interner
+    id_nodes = interner.nodes()
     order = program.order
     n = len(order)
 
-    # SCAN / FANOUT + PROBE (+ pushed-down DIRECT): stream each edge's
-    # pair-table rows into flat columns, expanding query labels through
-    # the matcher exactly as ``build_runtime_graph`` does.
     def expand(pos: int):
         data_labels = matcher.data_labels_for(program.labels[pos], alphabet)
         return [None] if data_labels is None else data_labels
 
-    raw_edges: list[tuple[list, list, list[float]]] = []
-    for parent_pos, child_pos, direct in program.edge_specs:
-        tails: list = []
-        heads: list = []
-        dists: list[float] = []
+    def weight(node_id: int) -> float:
+        if node_weight is None:
+            return 0.0
+        return float(node_weight(id_nodes[node_id]))
+
+    # Live candidates per position, indexed in repr((qnode, node)) order.
+    nodes: list[list] = [None] * n  # type: ignore[list-item]
+    bs: list[list[float]] = [None] * n  # type: ignore[list-item]
+    index: list[dict[int, int]] = [None] * n  # type: ignore[list-item]
+
+    def settle(pos: int, bs_of: dict[int, float]) -> list[int]:
+        """Freeze ``pos``'s live candidates (id -> bs); their ids in order."""
+        qnode = order[pos]
+        ids = [i for _, i in sorted((repr((qnode, id_nodes[i])), i) for i in bs_of)]
+        nodes[pos] = [id_nodes[i] for i in ids]
+        bs[pos] = [bs_of[i] for i in ids]
+        index[pos] = {i: rank for rank, i in enumerate(ids)}
+        return ids
+
+    def probe(e: int):
+        """PROBE (+ pushed-down DIRECT): the closure groups of edge ``e``,
+        read per expanded label pair exactly as ``build_runtime_graph``
+        reads them."""
+        parent_pos, child_pos, direct = program.edge_specs[e]
         for tail_label in expand(parent_pos):
             for head_label in expand(child_pos):
-                for tail, head, dist in store.read_pair_table(
-                    tail_label, head_label, direct_only=direct
-                ):
-                    tails.append(tail)
-                    heads.append(head)
-                    dists.append(dist)
-        raw_edges.append((tails, heads, dists))
+                yield from store.read_pair_groups(tail_label, head_label, direct)
 
-    # Candidate registers: sorted by repr — the interpreter's canonical
-    # node order — with per-candidate repr((qnode, node)) strings frozen
-    # once (slot tie-breaks compare the repr of the full payload tuple).
-    cand_sets: list[set] = [set() for _ in range(n)]
-    if n == 1:
-        data_labels = matcher.data_labels_for(program.labels[0], alphabet)
-        if data_labels is None:
-            cand_sets[0] = set(graph.nodes())
-        else:
-            for data_label in data_labels:
-                cand_sets[0] |= set(graph.nodes_with_label(data_label))
-    else:
-        for e, (parent_pos, child_pos, _direct) in enumerate(program.edge_specs):
-            tails, heads, _dists = raw_edges[e]
-            cand_sets[parent_pos].update(tails)
-            cand_sets[child_pos].update(heads)
-    nodes = [sorted(s, key=repr) for s in cand_sets]
-    index = [{v: i for i, v in enumerate(vs)} for vs in nodes]
-    reprs = [
-        [repr((order[pos], v)) for v in vs] for pos, vs in enumerate(nodes)
-    ]
-    if node_weight is None:
-        weights = [[0.0] * len(vs) for vs in nodes]
-    else:
-        weights = [[float(node_weight(v)) for v in vs] for vs in nodes]
-
-    # Translate edge endpoints into candidate-index space.
-    edge_cols: list[tuple[array, array, array]] = []
-    for e, (parent_pos, child_pos, _direct) in enumerate(program.edge_specs):
-        tails, heads, dists = raw_edges[e]
-        ip = index[parent_pos]
-        ic = index[child_pos]
-        edge_cols.append(
-            (
-                array("q", (ip[v] for v in tails)),
-                array("q", (ic[v] for v in heads)),
-                array("d", dists),
-            )
-        )
-
-    # ACCUM: bottom-up bs totals + per-edge slot CSR, scalar or numpy.
     num_edges = len(program.edge_specs)
-    bs: list[list[float]] = [None] * n  # type: ignore[list-item]
-    alive: list[list[bool]] = [None] * n  # type: ignore[list-item]
     slot_off: list[array] = [None] * num_edges  # type: ignore[list-item]
     slot_keys: list[array] = [None] * num_edges  # type: ignore[list-item]
     slot_child: list[array] = [None] * num_edges  # type: ignore[list-item]
     for pos in range(n - 1, -1, -1):
-        num_cands = len(nodes[pos])
         kids = program.child_edges[pos]
         if not kids:
-            bs[pos] = list(weights[pos])
-            alive[pos] = [True] * num_cands
-            continue
-        if np is not None:
-            totals = np.asarray(weights[pos], dtype=np.float64)
-            for e, child_pos in kids:
-                parents_col, children_col, dists_col = edge_cols[e]
-                offsets, keys, childs, mins = accel.lower_slots(
-                    np,
-                    parents_col,
-                    children_col,
-                    dists_col,
-                    bs[child_pos],
-                    alive[child_pos],
-                    reprs[child_pos],
-                    num_cands,
+            if n == 1:  # single-node query: every label match is a root
+                labels = matcher.data_labels_for(program.labels[0], alphabet)
+                ids = (
+                    range(len(id_nodes))
+                    if labels is None
+                    else itertools.chain.from_iterable(
+                        interner.label_range(label) for label in labels
+                    )
                 )
-                slot_off[e] = array("q", offsets.tolist())
-                slot_keys[e] = array("d", keys.tolist())
-                slot_child[e] = array("q", childs.tolist())
-                totals = totals + mins
-        else:
-            totals = list(weights[pos])
-            for e, child_pos in kids:
-                parents_col, children_col, dists_col = edge_cols[e]
-                alive_child = alive[child_pos]
-                bs_child = bs[child_pos]
-                reprs_child = reprs[child_pos]
-                groups: list[list] = [[] for _ in range(num_cands)]
-                for row in range(len(parents_col)):
-                    child = children_col[row]
-                    if alive_child[child]:
-                        groups[parents_col[row]].append(
-                            (
-                                bs_child[child] + dists_col[row],
-                                reprs_child[child],
-                                child,
-                            )
-                        )
-                offsets = array("q", [0] * (num_cands + 1))
-                keys = array("d")
-                childs = array("q")
-                filled = 0
-                for cand in range(num_cands):
-                    group = groups[cand]
-                    if group:
-                        group.sort()
-                        totals[cand] += group[0][0]
-                        for key, _rep, child in group:
-                            keys.append(key)
-                            childs.append(child)
-                        filled += len(group)
-                    else:
-                        totals[cand] = _INF
-                    offsets[cand + 1] = filled
-                slot_off[e] = offsets
-                slot_keys[e] = keys
-                slot_child[e] = childs
-        bs[pos] = [float(t) for t in totals]
-        alive[pos] = [t < _INF for t in bs[pos]]
+                settle(0, {i: weight(i) for i in ids})
+            continue  # a leaf settles when its parent probes the edge
+        # ACCUM, one edge at a time: the rows of live children, keyed
+        # bs[child] + dist and gathered in child-rank order, then
+        # stable-sorted on the key (so ties keep rank order) and dealt out
+        # to their parents.  No per-row tuple is built.
+        runs: list[tuple[list[float], list[int], dict[int, list[int]]]] = []
+        for e, child_pos in kids:
+            groups = probe(e)
+            if not program.child_edges[child_pos]:
+                groups = list(groups)  # a leaf: every head it reaches lives
+                settle(child_pos, {head: weight(head) for head, _, _ in groups})
+            live = index[child_pos]
+            bs_child = bs[child_pos]
+            ranked = sorted(
+                # A dead head's group is read (metered) but never decoded.
+                ((live[head], tails, dists) for head, tails, dists in groups if head in live),
+                key=itemgetter(0),
+            )
+            parents: list[int] = []
+            keys: list[float] = []
+            childs: list[int] = []
+            for child, tails, dists in ranked:
+                base = bs_child[child]
+                parents.extend(tails)
+                keys.extend([base + dist for dist in dists])
+                childs.extend([child] * len(tails))
+            rows_of: dict[int, list[int]] = {}
+            for row in sorted(range(len(keys)), key=keys.__getitem__):
+                rows = rows_of.get(parents[row])
+                if rows is None:
+                    rows_of[parents[row]] = [row]
+                else:
+                    rows.append(row)
+            runs.append((keys, childs, rows_of))
+        # A parent lives when every child edge keeps a row for it and its
+        # total (weight, then += each edge's minimum in children order) is
+        # finite.
+        totals: dict[int, float] = {}
+        for parent in set(runs[0][2]).intersection(*(run[2] for run in runs[1:])):
+            total = weight(parent)
+            for keys, _childs, rows_of in runs:
+                total += keys[rows_of[parent][0]]
+            if total < _INF:
+                totals[parent] = total
+        ids = settle(pos, totals)
+        # Slot CSR over live parents only, in their index order.
+        for (e, _child_pos), (keys, childs, rows_of) in zip(kids, runs):
+            offsets = [0]
+            picked: list[int] = []
+            for parent in ids:
+                picked += rows_of[parent]
+                offsets.append(len(picked))
+            slot_off[e] = array("q", offsets)
+            slot_keys[e] = array("d", [keys[row] for row in picked])
+            slot_child[e] = array("q", [childs[row] for row in picked])
 
-    # ROOTS: the root slot, sorted by (bs, repr((root, node))).
-    root_entries = sorted(
-        (bs[0][cand], reprs[0][cand], cand)
-        for cand in range(len(nodes[0]))
-        if alive[0][cand]
-    )
-    root_keys = array("d", (entry[0] for entry in root_entries))
-    root_cand = array("q", (entry[2] for entry in root_entries))
+    # ROOTS: live root candidates sorted by (bs, repr) — a stable sort on
+    # bs over indexes already in repr order.
+    root_bs = bs[0]
+    root_cand = array("q", sorted(range(len(root_bs)), key=root_bs.__getitem__))
+    root_keys = array("d", (root_bs[cand] for cand in root_cand))
 
-    bound = BoundProgram(
+    return BoundProgram(
         program=program,
         nodes=nodes,
-        weights=weights,
         slot_off=slot_off,
         slot_keys=slot_keys,
         slot_child=slot_child,
         root_keys=root_keys,
         root_cand=root_cand,
-        mode="numpy" if np is not None else "scalar",
         bind_seconds=time.perf_counter() - started,
     )
-    return bound
 
 
 class BoundProgram:
@@ -249,13 +214,11 @@ class BoundProgram:
         "program",
         "n",
         "nodes",
-        "weights",
         "slot_off",
         "slot_keys",
         "slot_child",
         "root_keys",
         "root_cand",
-        "mode",
         "bind_seconds",
     )
 
@@ -264,25 +227,21 @@ class BoundProgram:
         *,
         program: KernelProgram,
         nodes,
-        weights,
         slot_off,
         slot_keys,
         slot_child,
         root_keys,
         root_cand,
-        mode: str,
         bind_seconds: float,
     ) -> None:
         self.program = program
         self.n = program.num_positions
         self.nodes = nodes
-        self.weights = weights
         self.slot_off = slot_off
         self.slot_keys = slot_keys
         self.slot_child = slot_child
         self.root_keys = root_keys
         self.root_cand = root_cand
-        self.mode = mode
         self.bind_seconds = bind_seconds
 
     def top1_score(self) -> float | None:
@@ -349,7 +308,6 @@ class KernelRun:
         self._b = bound
         self.stats = EnumerationStats(init_seconds=bound.bind_seconds)
         self.stats.extra["tier"] = "compiled"
-        self.stats.extra["bind_mode"] = bound.mode
         self._queue: list = []
         self._counter = itertools.count()
         self._started = False

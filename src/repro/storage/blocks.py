@@ -59,7 +59,7 @@ class BlockTable:
             )
         start = index * self.block_size
         chunk = self._entries[start : start + self.block_size]
-        self._counter.record_read(self.name, len(chunk))
+        self._counter.record_read(len(chunk))
         return chunk
 
     def iter_blocks(self) -> Iterator[tuple[Any, ...]]:
@@ -138,7 +138,7 @@ class LazyBlockTable:
             )
         start = index * self.block_size
         chunk = self._fetch(start, min(start + self.block_size, self._length))
-        self._counter.record_read(self.name, len(chunk))
+        self._counter.record_read(len(chunk))
         return chunk
 
     def iter_blocks(self) -> Iterator[tuple[Any, ...]]:

@@ -9,7 +9,7 @@ benchmarks can print the same CPU/I-O split the paper plots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -19,13 +19,11 @@ class IOCounter:
     blocks_read: int = 0
     entries_read: int = 0
     tables_opened: int = 0
-    reads_by_table: dict[str, int] = field(default_factory=dict)
 
-    def record_read(self, table_name: str, num_entries: int) -> None:
-        """Account one block read of ``num_entries`` entries."""
-        self.blocks_read += 1
+    def record_read(self, num_entries: int, blocks: int = 1) -> None:
+        """Account ``blocks`` block reads holding ``num_entries`` entries."""
+        self.blocks_read += blocks
         self.entries_read += num_entries
-        self.reads_by_table[table_name] = self.reads_by_table.get(table_name, 0) + 1
 
     def record_open(self) -> None:
         """Account one table open (directory lookup)."""
@@ -36,7 +34,6 @@ class IOCounter:
         self.blocks_read = 0
         self.entries_read = 0
         self.tables_opened = 0
-        self.reads_by_table.clear()
 
     def snapshot(self) -> "IOCounter":
         """Return an immutable-ish copy of the current counters."""
@@ -44,7 +41,6 @@ class IOCounter:
             blocks_read=self.blocks_read,
             entries_read=self.entries_read,
             tables_opened=self.tables_opened,
-            reads_by_table=dict(self.reads_by_table),
         )
 
     def delta_since(self, earlier: "IOCounter") -> "IOCounter":

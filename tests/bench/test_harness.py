@@ -28,10 +28,10 @@ class TestTiming:
 
     def test_measure_isolates_io(self):
         counter = IOCounter()
-        counter.record_read("warmup", 10)
+        counter.record_read(10)
 
         def work():
-            counter.record_read("t", 4)
+            counter.record_read(4)
             return "done"
 
         run, result = measure("alg", counter, work)
@@ -42,7 +42,7 @@ class TestTiming:
     def test_algorun_costs(self):
         counter = IOCounter()
         for _ in range(5):
-            counter.record_read("t", 1)
+            counter.record_read(1)
         run = AlgoRun(
             "x", cpu_seconds=0.5, io_counter=counter,
             cost_model=IOCostModel(seconds_per_block=0.1, seconds_per_open=0),

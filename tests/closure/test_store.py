@@ -63,6 +63,40 @@ class TestPairTables:
         list(store.read_pair_table("c", "d"))
         assert store.counter.blocks_read > before
 
+    @pytest.mark.parametrize("direct_only", (False, True))
+    @pytest.mark.parametrize("pair", (("c", "d"), ("a", "c"), (None, "d")))
+    def test_pair_read_meters_every_block_of_every_group(
+        self, store, pair, direct_only
+    ):
+        """A pair-table read costs what reading each of its ``L^alpha_v``
+        groups block by block costs: one open per table, every entry."""
+        tail_label, head_label = pair
+        keys = [
+            (alpha, head)
+            for alpha in sorted(store.graph.labels())
+            if tail_label in (None, alpha)
+            for head in store.group_targets(alpha, head_label)
+        ]
+        groups = [store.incoming_group(head, alpha) for alpha, head in keys]
+        counter = store.counter
+        before = counter.snapshot()
+        list(store.read_pair_table(tail_label, head_label, direct_only))
+        delta = counter.delta_since(before)
+        assert delta.blocks_read == sum(group.num_blocks for group in groups)
+        assert delta.entries_read == sum(group.num_entries for group in groups)
+        assert delta.tables_opened == len(
+            {(alpha, store.graph.label(head)) for alpha, head in keys}
+        )
+
+    def test_pair_groups_decode_to_the_triples(self, store):
+        nodes = store.interner.nodes()
+        decoded = sorted(
+            (nodes[tail], nodes[head], dist)
+            for head, tails, dists in store.read_pair_groups("a", "c", True)
+            for tail, dist in zip(tails, dists)
+        )
+        assert decoded == sorted(store.read_pair_table("a", "c", True))
+
     def test_wildcard_tail(self, store):
         triples = list(store.read_pair_table(None, "d"))
         tails = {t for t, _, __ in triples}

@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.compact import accel
 from repro.engine import MatchEngine
 from repro.graph.digraph import graph_from_edges
 from repro.graph.generators import citation_graph
 from repro.kernel import bind_program, compile_program
+from repro.runtime.graph import build_runtime_graph
 
-NUMPY_MODES = (
-    (False, True) if accel.resolve_numpy(True) is not None else (False,)
-)
+#: The closure backends the differential fuzz covers.
+BACKENDS = ("full", "ondemand", "hybrid", "pll")
 
 
 def exact(matches):
@@ -20,11 +19,14 @@ def exact(matches):
     ]
 
 
-def tie_graph():
-    """A dense two-level graph with many equal-score matches (tie stress)."""
-    labels = {i: "ABC"[i % 3] for i in range(9)}
+def tie_graph(ids=range(9)):
+    """A dense two-level graph with many equal-score matches (tie stress).
+
+    ``ids[i]`` names node ``i``; its label is ``"ABC"[i % 3]``.
+    """
+    labels = {ids[i]: "ABC"[i % 3] for i in range(9)}
     edges = [
-        (t, h) for t in range(9) for h in range(9)
+        (ids[t], ids[h]) for t in range(9) for h in range(9)
         if t != h and (t + h) % 2
     ]
     return graph_from_edges(labels, edges)
@@ -34,17 +36,13 @@ def reference(engine, compiled, k):
     return exact(engine._build_enumerator(compiled, "topk").top_k(k))
 
 
-def kernel_runs(engine, compiled, node_weight=None):
-    program = compile_program(compiled)
-    matcher = compiled.effective_matcher(engine.config.label_matcher)
-    for use_numpy in NUMPY_MODES:
-        yield use_numpy, bind_program(
-            program,
-            engine.store,
-            matcher=matcher,
-            node_weight=node_weight,
-            use_numpy=use_numpy,
-        )
+def kernel_bind(engine, compiled, node_weight=None):
+    return bind_program(
+        compile_program(compiled),
+        engine.store,
+        matcher=compiled.effective_matcher(engine.config.label_matcher),
+        node_weight=node_weight,
+    )
 
 
 QUERIES = (
@@ -58,6 +56,15 @@ QUERIES = (
     "A",              # single node, no edges
 )
 
+#: Node-id families whose repr order differs from the order of the ids
+#: themselves and, across labels, from the interned (label-major) order.
+NON_INTEGER_IDS = {
+    "strings-with-spaces": [f"n {8 - i}" if i % 2 else f"n{8 - i}" for i in range(9)],
+    "tuples": [(i % 2, 4 - i, "t") for i in range(9)],
+    "negative-ints": [-(9 - i) for i in range(9)],
+    "mixed-1-10-2": [1, 10, 2, 100, 20, 3, 11, 21, 110],
+}
+
 
 class TestExactEquivalence:
     @pytest.mark.parametrize("query", QUERIES)
@@ -66,17 +73,17 @@ class TestExactEquivalence:
         engine = MatchEngine(tie_graph(), backend="full")
         compiled = engine.compile(query)
         want = reference(engine, compiled, k)
-        for use_numpy, bound in kernel_runs(engine, compiled):
-            assert exact(bound.run().top_k(k)) == want, (query, use_numpy)
+        assert exact(kernel_bind(engine, compiled).run().top_k(k)) == want
 
     @pytest.mark.parametrize("query", ("A//B[C]", "A/B", "A//*"))
     def test_kernel_matches_interpreter_on_citation_graph(self, query):
-        graph = citation_graph(120, num_labels=5, seed=3)
-        engine = MatchEngine(graph, backend="full")
+        base = citation_graph(120, num_labels=5, seed=3)
+        labels = {v: "ABCDE"[int(base.label(v)[1:])] for v in base.nodes()}
+        engine = MatchEngine(graph_from_edges(labels, base.edges()), backend="full")
         compiled = engine.compile(query)
         want = reference(engine, compiled, 25)
-        for use_numpy, bound in kernel_runs(engine, compiled):
-            assert exact(bound.run().top_k(25)) == want, (query, use_numpy)
+        assert want, "the query must match"
+        assert exact(kernel_bind(engine, compiled).run().top_k(25)) == want
 
     def test_node_weights_replayed(self):
         engine = MatchEngine(
@@ -86,47 +93,85 @@ class TestExactEquivalence:
         compiled = engine.compile("A//B[C]")
         want = reference(engine, compiled, 50)
         assert any(score for score, _ in want), "weights must matter"
-        for use_numpy, bound in kernel_runs(
-            engine, compiled, node_weight=engine.config.node_weight
-        ):
-            assert exact(bound.run().top_k(50)) == want, use_numpy
+        bound = kernel_bind(engine, compiled, node_weight=engine.config.node_weight)
+        assert exact(bound.run().top_k(50)) == want
 
     def test_empty_result_sets_agree(self):
         graph = graph_from_edges({0: "A", 1: "B", 2: "Z"}, [(0, 1)])
         engine = MatchEngine(graph, backend="full")
         compiled = engine.compile("A//Z")  # label exists, no closure row
         assert reference(engine, compiled, 5) == []
-        for _, bound in kernel_runs(engine, compiled):
-            assert bound.run().top_k(5) == []
+        assert kernel_bind(engine, compiled).run().top_k(5) == []
 
-    def test_scalar_and_numpy_binds_are_bit_identical(self):
-        if len(NUMPY_MODES) < 2:
-            pytest.skip("numpy unavailable")
-        engine = MatchEngine(tie_graph(), backend="full")
-        compiled = engine.compile("A//B[C]")
-        runs = dict(kernel_runs(engine, compiled))
-        assert runs[False].mode == "scalar"
-        assert runs[True].mode == "numpy"
-        assert exact(runs[False].run().top_k(1000)) == exact(
-            runs[True].run().top_k(1000)
-        )
+    @pytest.mark.parametrize("family", sorted(NON_INTEGER_IDS))
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_tie_order_with_non_integer_node_ids(self, family, query):
+        """Ties break on repr((qnode, node)), never on id or value order."""
+        engine = MatchEngine(tie_graph(NON_INTEGER_IDS[family]), backend="full")
+        compiled = engine.compile(query)
+        want = reference(engine, compiled, 1000)
+        assert want, "the tie graph must match"
+        assert exact(kernel_bind(engine, compiled).run().top_k(1000)) == want
+
+
+def containment_graph():
+    """Citation graph whose labels carry a second token, so ``~V1`` fans
+    out to two data labels and ``~x`` to every other one."""
+    base = citation_graph(150, num_labels=4, seed=5)
+    labels = {v: f"{base.label(v)}+{'xy'[v % 2]}" for v in base.nodes()}
+    return graph_from_edges(labels, base.edges())
+
+
+class TestClosureReads:
+    """The compiled tier reads exactly what Topk's run-time-graph load reads."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "query",
+        (
+            "{V0+x}//{V1+y}[{V2+x}]",   # plain twig
+            "{V0+x}//*[{V3+y}]",        # wildcard
+            "~V1//~V2[~x]",             # containment fan-out
+            "{V0+x}/{V1+y}//{V2+x}",    # '/' axis
+        ),
+    )
+    def test_bind_reads_what_the_runtime_graph_load_reads(self, backend, query):
+        engine = MatchEngine(containment_graph(), backend=backend)
+        compiled = engine.compile(query)
+        matcher = compiled.effective_matcher(engine.config.label_matcher)
+        counter = engine.store.counter
+
+        def reads(load):
+            before = counter.snapshot()
+            load()
+            delta = counter.delta_since(before)
+            return delta.blocks_read, delta.entries_read, delta.tables_opened
+
+        # Twice each, so on-demand search caches are warm for both.
+        for _ in range(2):
+            loaded = reads(
+                lambda: build_runtime_graph(engine.store, compiled.tree, matcher)
+            )
+            bound = reads(lambda: kernel_bind(engine, compiled))
+            assert bound == loaded
+        assert loaded[2] > 0
+        if backend == "full":
+            assert loaded[0] > 0 and loaded[1] > 0
 
 
 class TestRunProtocol:
     def test_stats_surface_the_tier(self):
         engine = MatchEngine(tie_graph(), backend="full")
         compiled = engine.compile("A//B")
-        for _, bound in kernel_runs(engine, compiled):
-            run = bound.run()
-            run.top_k(3)
-            assert run.stats.extra["tier"] == "compiled"
-            assert run.stats.extra["bind_mode"] == bound.mode
-            assert run.stats.rounds >= 3
+        run = kernel_bind(engine, compiled).run()
+        run.top_k(3)
+        assert run.stats.extra["tier"] == "compiled"
+        assert run.stats.rounds >= 3
 
     def test_stream_is_an_iterator_over_the_same_order(self):
         engine = MatchEngine(tie_graph(), backend="full")
         compiled = engine.compile("A//B")
-        (_, bound) = next(iter(kernel_runs(engine, compiled)))
+        bound = kernel_bind(engine, compiled)
         want = exact(bound.run().top_k(7))
         streamed = []
         for match in bound.run().stream():
@@ -138,13 +183,12 @@ class TestRunProtocol:
     def test_negative_k_raises(self):
         engine = MatchEngine(tie_graph(), backend="full")
         compiled = engine.compile("A//B")
-        (_, bound) = next(iter(kernel_runs(engine, compiled)))
         with pytest.raises(ValueError, match="non-negative"):
-            bound.run().top_k(-1)
+            kernel_bind(engine, compiled).run().top_k(-1)
 
     def test_bound_program_reports_bind_costs(self):
         engine = MatchEngine(tie_graph(), backend="full")
         compiled = engine.compile("A//B")
-        for _, bound in kernel_runs(engine, compiled):
-            assert bound.bind_seconds >= 0.0
-            assert bound.num_candidates > 0
+        bound = kernel_bind(engine, compiled)
+        assert bound.bind_seconds >= 0.0
+        assert bound.num_candidates > 0

@@ -88,4 +88,4 @@ class TestTableDirectory:
         d.create("a", [1, 2])
         d.open("a").read_all()
         assert counter.blocks_read == 1
-        assert counter.reads_by_table["a"] == 1
+        assert counter.entries_read == 2

@@ -8,31 +8,35 @@ from repro.storage.iostats import IOCostModel, IOCounter
 class TestIOCounter:
     def test_record_and_reset(self):
         c = IOCounter()
-        c.record_read("t1", 5)
-        c.record_read("t1", 3)
-        c.record_read("t2", 1)
+        c.record_read(5)
+        c.record_read(3)
+        c.record_read(1)
         c.record_open()
         assert c.blocks_read == 3
         assert c.entries_read == 9
         assert c.tables_opened == 1
-        assert c.reads_by_table == {"t1": 2, "t2": 1}
         c.reset()
-        assert c.blocks_read == 0
-        assert c.reads_by_table == {}
+        assert (c.blocks_read, c.entries_read, c.tables_opened) == (0, 0, 0)
+
+    def test_record_many_blocks_at_once(self):
+        c = IOCounter()
+        c.record_read(130, blocks=3)
+        assert c.blocks_read == 3
+        assert c.entries_read == 130
 
     def test_snapshot_is_independent(self):
         c = IOCounter()
-        c.record_read("t", 2)
+        c.record_read(2)
         snap = c.snapshot()
-        c.record_read("t", 2)
+        c.record_read(2)
         assert snap.blocks_read == 1
         assert c.blocks_read == 2
 
     def test_delta_since(self):
         c = IOCounter()
-        c.record_read("t", 2)
+        c.record_read(2)
         snap = c.snapshot()
-        c.record_read("t", 4)
+        c.record_read(4)
         c.record_open()
         delta = c.delta_since(snap)
         assert delta.blocks_read == 1
@@ -44,7 +48,7 @@ class TestCostModel:
     def test_io_seconds(self):
         c = IOCounter()
         for _ in range(10):
-            c.record_read("t", 1)
+            c.record_read(1)
         c.record_open()
         model = IOCostModel(seconds_per_block=0.001, seconds_per_open=0.01)
         assert model.io_seconds(c) == pytest.approx(0.02)

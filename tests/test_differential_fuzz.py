@@ -459,11 +459,12 @@ def test_replicated_sharded_service_interleaving_matches_flat(
 # ----------------------------------------------------------------------
 
 
-def _kernel_bind_modes():
-    """Scalar always; the numpy bind only where numpy is importable."""
-    from repro.compact import accel
-
-    return (False, True) if accel.resolve_numpy(True) is not None else (False,)
+def _closure_reads(counter, load):
+    """``load()``'s result and the (blocks, entries, opens) it metered."""
+    before = counter.snapshot()
+    result = load()
+    delta = counter.delta_since(before)
+    return result, (delta.blocks_read, delta.entries_read, delta.tables_opened)
 
 
 @given(
@@ -476,8 +477,9 @@ def test_compiled_kernel_is_bit_identical_to_interpreter(instance, k):
 
     The kernel replays the reference enumeration over flat arrays, so
     scores, assignments, and order must all be identical — on every
-    backend, for the scalar and the numpy bind alike (plain and
-    wildcard queries; ``/`` axes included by the strategy).
+    backend (plain and wildcard queries; ``/`` axes included by the
+    strategy) — and its bind reads exactly the closure blocks the
+    interpreter's run-time-graph load reads.
     """
     from repro.kernel import bind_program, compile_program
 
@@ -485,18 +487,18 @@ def test_compiled_kernel_is_bit_identical_to_interpreter(instance, k):
     for backend in BACKENDS:
         engine = MatchEngine(graph, backend=backend)
         compiled = engine.compile(query)
-        reference = exact(
-            engine._build_enumerator(compiled, "topk").top_k(k)
+        counter = engine.store.counter
+        enumerator, loaded = _closure_reads(
+            counter, lambda: engine._build_enumerator(compiled, "topk")
         )
+        reference = exact(enumerator.top_k(k))
         program = compile_program(compiled)
         matcher = compiled.effective_matcher(engine.config.label_matcher)
-        for use_numpy in _kernel_bind_modes():
-            bound = bind_program(
-                program, engine.store, matcher=matcher, use_numpy=use_numpy
-            )
-            assert exact(bound.run().top_k(k)) == reference, (
-                backend, use_numpy,
-            )
+        bound, read = _closure_reads(
+            counter, lambda: bind_program(program, engine.store, matcher=matcher)
+        )
+        assert read == loaded, backend
+        assert exact(bound.run().top_k(k)) == reference, backend
 
 
 @given(
@@ -507,7 +509,7 @@ def test_compiled_kernel_is_bit_identical_to_interpreter(instance, k):
 @fuzz_settings
 def test_compiled_kernel_containment_weighted_bit_identical(instance, k, data):
     """Containment queries (``~A//~B`` family) on weighted graphs:
-    kernel == reference interpreter byte-for-byte, both bind modes."""
+    kernel == reference interpreter byte-for-byte."""
     from repro.kernel import bind_program, compile_program
 
     graph, _ = instance
@@ -522,13 +524,8 @@ def test_compiled_kernel_containment_weighted_bit_identical(instance, k, data):
         )
         program = compile_program(compiled)
         matcher = compiled.effective_matcher(engine.config.label_matcher)
-        for use_numpy in _kernel_bind_modes():
-            bound = bind_program(
-                program, engine.store, matcher=matcher, use_numpy=use_numpy
-            )
-            assert exact(bound.run().top_k(k)) == reference, (
-                backend, use_numpy,
-            )
+        bound = bind_program(program, engine.store, matcher=matcher)
+        assert exact(bound.run().top_k(k)) == reference, backend
 
 
 @given(
