@@ -160,6 +160,12 @@ class HybridStore:
             tail_label, head_label, direct_only
         )
 
+    def read_leaf_slots(self, tail_label: Label, head_label: Label, direct_only: bool = False):
+        """One pair table as a tail-major leaf view, hot tables when possible."""
+        return self._side(tail_label, head_label).read_leaf_slots(
+            tail_label, head_label, direct_only
+        )
+
     def read_pair_table(
         self,
         tail_label: Label | None,

@@ -38,6 +38,7 @@ from typing import Iterator, Sequence
 from repro.closure.pll import PrunedLandmarkIndex
 from repro.closure.store import decode_pair_groups
 from repro.compact import CompactGraph, NodeInterner
+from repro.compact.tailmajor import leaf_slots
 from repro.graph.digraph import Label, LabeledDiGraph, NodeId
 from repro.storage.blocks import DEFAULT_BLOCK_SIZE, BlockTable, TableDirectory
 from repro.storage.iostats import IOCounter
@@ -152,11 +153,15 @@ class OnDemandStore:
         self._groups[key] = table
         return table
 
-    def _heads_with_label(self, head_label: Label | None) -> Iterator[int]:
-        if head_label is None:
-            yield from range(len(self._interner))
-        else:
-            yield from self._interner.label_range(head_label)
+    def _heads_with_label(self, head_label: Label | None, tail_label: Label | None):
+        """Heads whose ``tail_label`` group may be non-empty, ascending; a
+        wildcard head under a concrete tail is bounded by one forward sweep
+        from the tail label's nodes, since a head it misses has none."""
+        if head_label is not None:
+            return self._interner.label_range(head_label)
+        if tail_label is None:
+            return range(len(self._interner))
+        return self._compact.reached_from(self._interner.label_range(tail_label))
 
     def read_d_table(
         self, tail_label: Label | None, head_label: Label | None
@@ -165,7 +170,7 @@ class OnDemandStore:
         self.counter.record_open()
         resolve = self._interner.resolve
         result: dict[NodeId, float] = {}
-        for head_id in self._heads_with_label(head_label):
+        for head_id in self._heads_with_label(head_label, tail_label):
             _, dists, lo, hi = self._incoming_slice(head_id, tail_label)
             best = None
             for k in range(lo, hi):
@@ -191,7 +196,7 @@ class OnDemandStore:
         """
         self.counter.record_open()
         has_edge = self._compact.has_edge
-        for head_id in self._heads_with_label(head_label):
+        for head_id in self._heads_with_label(head_label, tail_label):
             sources, dists, lo, hi = self._incoming_slice(head_id, tail_label)
             if lo == hi:
                 continue
@@ -203,6 +208,12 @@ class OnDemandStore:
                     continue
                 run = list(compress(run, keep))
             yield head_id, tails, run
+
+    def read_leaf_slots(self, tail_label: Label, head_label: Label, direct_only: bool = False):
+        """:meth:`read_pair_groups` as an unmemoized leaf view (see
+        :meth:`repro.closure.store.ClosureStore.read_leaf_slots`)."""
+        groups = self.read_pair_groups(tail_label, head_label, direct_only)
+        return leaf_slots(groups, self._interner.repr_rank())
 
     def read_pair_table(
         self,
@@ -233,7 +244,7 @@ class OnDemandStore:
                 return cached
         resolve = self._interner.resolve
         best_out: dict[int, tuple[float, int]] = {}
-        for head_id in self._heads_with_label(head_label):
+        for head_id in self._heads_with_label(head_label, tail_label):
             sources, dists, lo, hi = self._incoming_slice(head_id, tail_label)
             for k in range(lo, hi):
                 source_id = sources[k]

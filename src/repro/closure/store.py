@@ -40,6 +40,7 @@ from typing import Iterator, Sequence
 
 from repro.closure.transitive import TransitiveClosure
 from repro.compact import NodeInterner, buffer_bytes
+from repro.compact.tailmajor import leaf_slots
 from repro.exceptions import ClosureError
 from repro.graph.digraph import Label, LabeledDiGraph, NodeId
 from repro.storage.blocks import (
@@ -87,7 +88,7 @@ class _PairTable:
 
     __slots__ = (
         "tails", "dists", "direct", "heads", "offsets",
-        "e_tails", "e_heads", "e_dists", "_blocks",
+        "e_tails", "e_heads", "e_dists", "_blocks", "_leaf", "_leaf_direct",
     )
 
     def __init__(self, entries: list[tuple[int, float, int, int]]) -> None:
@@ -112,7 +113,7 @@ class _PairTable:
         self.e_tails = array("i", sorted(best_out))
         self.e_dists = array("d", (best_out[t][0] for t in self.e_tails))
         self.e_heads = array("i", (best_out[t][1] for t in self.e_tails))
-        self._blocks = None
+        self._blocks = self._leaf = self._leaf_direct = None
 
     @classmethod
     def from_columns(
@@ -129,7 +130,7 @@ class _PairTable:
         self.tails, self.dists, self.direct = tails, dists, direct
         self.heads, self.offsets = heads, offsets
         self.e_tails, self.e_heads, self.e_dists = e_tails, e_heads, e_dists
-        self._blocks = None
+        self._blocks = self._leaf = self._leaf_direct = None
         return self
 
     @property
@@ -150,6 +151,36 @@ class _PairTable:
             )
             self._blocks = (block_size, count)
         return self._blocks[1]
+
+    def groups(self, direct_only: bool) -> Iterator[tuple[int, Sequence[int], Sequence[float]]]:
+        """``(head, tails, distances)`` per group (unmetered); ``direct_only``
+        keeps direct-edge entries and skips the groups it empties."""
+        heads, offsets = self.heads, self.offsets
+        tails, dists, direct = self.tails, self.dists, self.direct
+        for j in range(len(heads)):
+            start, stop = offsets[j], offsets[j + 1]
+            if not direct_only:
+                yield heads[j], tails[start:stop], dists[start:stop]
+                continue
+            keep = direct[start:stop]
+            run = list(compress(tails[start:stop], keep))
+            if run:
+                yield heads[j], run, list(compress(dists[start:stop], keep))
+
+    def leaf_slots(self, rank, direct_only: bool):
+        """A fresh copy of the table's memoized leaf view (see
+        :func:`repro.compact.tailmajor.leaf_slots`).  The memo keeps the
+        columns as ``bytes`` (``array`` objects are GC-tracked) and the
+        table never changes, so it never goes stale; racing first calls
+        may build it twice, and one attribute store publishes it."""
+        name = "_leaf_direct" if direct_only else "_leaf"
+        view = getattr(self, name)
+        if view is None:
+            *columns, at = leaf_slots(self.groups(direct_only), rank)
+            view = (*(column.tobytes() for column in columns), at)
+            setattr(self, name, view)
+        *columns, at = view
+        return (*map(array, "qdqq", columns), at)
 
     def group_bounds(self, head_id: int) -> tuple[int, int] | None:
         """The ``[start, stop)`` run of ``head_id``'s group, or ``None``."""
@@ -430,17 +461,22 @@ class ClosureStore:
             self.counter.record_read(
                 table.num_entries, table.num_blocks(block_size)
             )
-            heads, offsets = table.heads, table.offsets
-            tails, dists, direct = table.tails, table.dists, table.direct
-            for j in range(len(heads)):
-                start, stop = offsets[j], offsets[j + 1]
-                if not direct_only:
-                    yield heads[j], tails[start:stop], dists[start:stop]
-                    continue
-                keep = direct[start:stop]
-                run = list(compress(tails[start:stop], keep))
-                if run:
-                    yield heads[j], run, list(compress(dists[start:stop], keep))
+            yield from table.groups(direct_only)
+
+    def read_leaf_slots(self, tail_label: Label, head_label: Label, direct_only: bool = False):
+        """Read one ``L^alpha_beta`` table as its memoized leaf view, metered
+        exactly as :meth:`read_pair_groups`: one open, every block.  The view
+        (:func:`repro.compact.tailmajor.leaf_slots`) is the slots of an edge
+        into an unweighted leaf under any query node, since ``repr((qnode,
+        node))`` orders nodes as ``repr(node) + ")"`` does.  The memo holds
+        at most one copy of each table per ``direct_only`` value."""
+        rank = self._interner.repr_rank()
+        table = self._pair_tables.get((tail_label, head_label))
+        if table is None:
+            return leaf_slots((), rank)
+        self.counter.record_open()
+        self.counter.record_read(table.num_entries, table.num_blocks(self.directory.block_size))
+        return table.leaf_slots(rank, direct_only)
 
     def read_pair_table(
         self,

@@ -18,6 +18,7 @@ import heapq
 from array import array
 from bisect import bisect_left
 from collections import deque
+from itertools import compress
 from typing import Iterator
 
 from repro.compact.accel import numpy_or_none
@@ -137,6 +138,19 @@ class CompactGraph:
         hi = self.out_offsets[tail_id + 1]
         k = bisect_left(self.out_targets, head_id, lo, hi)
         return k < hi and self.out_targets[k] == head_id
+
+    def reached_from(self, sources: range) -> list[int]:
+        """Ids reached from any of ``sources`` by a non-empty path, ascending
+        (one multi-source forward sweep)."""
+        offsets, targets = self.out_offsets, self.out_targets
+        seen = bytearray(self.num_nodes)
+        stack = [t for s in sources for t in targets[offsets[s]:offsets[s + 1]]]
+        while stack:
+            node = stack.pop()
+            if not seen[node]:
+                seen[node] = 1
+                stack += targets[offsets[node]:offsets[node + 1]]
+        return list(compress(range(self.num_nodes), seen))
 
     # ------------------------------------------------------------------
     # Single-source shortest distances (closure-row builders)

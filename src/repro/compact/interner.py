@@ -11,6 +11,11 @@ the nodes of each label are ordered by ``repr`` within it, so
   layers above sort by, so per-label outputs decoded from id-sorted
   arrays match the historical ``repr``-sorted outputs byte for byte.
 
+:meth:`NodeInterner.repr_rank` ranks ids in ``(repr(node) + ")", id)``
+order, the ``repr((qnode, node))`` tie order of run-time-graph slots for
+any fixed ``qnode``.  It departs from id order on ``repr`` prefixes:
+``"n!)" < "n)"``.
+
 The mapping is a pure function of the node/label universe: two
 interners built from equal graphs are identical, which is what lets
 :meth:`repro.closure.transitive.TransitiveClosure.refreshed` share rows
@@ -19,6 +24,7 @@ across snapshots without remapping when the node set is unchanged.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from typing import Iterator, Mapping
 
@@ -27,9 +33,10 @@ from repro.graph.digraph import Label, LabeledDiGraph, NodeId
 
 
 class NodeInterner:
-    """Stable, label-sorted ``NodeId <-> int`` mapping."""
+    """Stable, label-sorted ``NodeId <-> int`` mapping, with a lazily
+    computed tie-order rank of its ids (:meth:`repr_rank`)."""
 
-    __slots__ = ("_nodes", "_ids", "_ranges", "_starts", "_range_labels")
+    __slots__ = ("_nodes", "_ids", "_ranges", "_starts", "_range_labels", "_rank")
 
     def __init__(self, labeled_nodes: Mapping[NodeId, Label]) -> None:
         by_label: dict[Label, list[NodeId]] = {}
@@ -51,6 +58,7 @@ class NodeInterner:
         self._ids: dict[NodeId, int] = {
             node: i for i, node in enumerate(self._nodes)
         }
+        self._rank: array | None = None
 
     @classmethod
     def from_graph(cls, graph: LabeledDiGraph) -> "NodeInterner":
@@ -74,6 +82,7 @@ class NodeInterner:
         self = cls.__new__(cls)
         self._nodes = tuple(nodes)
         self._ids = {node: i for i, node in enumerate(self._nodes)}
+        self._rank = None
         self._ranges = {}
         self._starts = []
         self._range_labels = []
@@ -117,6 +126,18 @@ class NodeInterner:
     def nodes(self) -> tuple[NodeId, ...]:
         """All nodes, in id order."""
         return self._nodes
+
+    def repr_rank(self) -> array:
+        """``rank[id]``: the id's position in ``(repr(node) + ")", id)`` order,
+        computed once (racing first calls may compute it twice)."""
+        rank = self._rank
+        if rank is None:
+            keys = [repr(node) + ")" for node in self._nodes]
+            rank = array("q", bytes(8 * len(keys)))
+            for position, node_id in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+                rank[node_id] = position
+            self._rank = rank
+        return rank
 
     # ------------------------------------------------------------------
     # Label geometry

@@ -4,11 +4,15 @@
 against a closure store, bottom-up over the query's BFS positions.  For
 each query edge it executes the PROBE op (plus the pushed-down DIRECT
 filter) as one grouped read of the store's ``L`` pair tables in interned
-id space (``read_pair_groups``), then the ACCUM op: rows of live child
-candidates are keyed by ``bs[child] + dist``, grouped by parent, and
-each group is sorted in the interpreter's exact ``(key, repr)`` tie
-order.  Only live parents get slot rows, as CSR arrays (offsets + keys +
-child indexes); ROOTS sorts the live root candidates.  The result is a
+id space, then the ACCUM op: rows of live child candidates, keyed by
+``bs[child] + dist``, are dealt per parent in the interpreter's exact
+``(key, repr)`` tie order (:mod:`repro.compact.tailmajor`).  An edge
+into a leaf has one path: a single-label, unweighted one reads the
+store's memoized view (``read_leaf_slots``), any other builds the same
+view from ``read_pair_groups``.  A leaf's ``bs`` is its node weight, so
+its slots depend on the pair table alone.  Only live parents get slot
+rows, as CSR arrays (offsets + keys + child indexes), concatenated from
+the view's runs; ROOTS sorts the live root candidates.  The result is a
 :class:`BoundProgram` — pure arrays, no per-node objects — from which
 :meth:`BoundProgram.run` starts fresh :class:`KernelRun` enumerations
 (the PUSH op: the Lawler loop over array slices).
@@ -22,10 +26,11 @@ same closure blocks the interpreter's load reads.  The load notes:
 
 * ``StaticSlot`` extraction order is a pure function of the entry set
   sorted by ``(key, repr(payload))``.  Each position's live candidates
-  are indexed in ``repr((qnode, node))`` order, so a child's index is
-  its tie-break rank and slots sort on ``(key, child index)``; slots
-  become pre-sorted array slices and ``ith(rank)`` becomes O(1)
-  indexing.
+  are indexed in ``repr((qnode, node))`` order — for a fixed ``qnode``
+  the order of ``repr(node) + ")"``, the interner's ``repr_rank`` — so
+  a child's index is its tie-break rank and slots sort on ``(key, child
+  index)``; slots become pre-sorted array slices and ``ith(rank)``
+  becomes O(1) indexing.
 * Run-time-graph viability equals ``bs``-existence, and the
   interpreter's top-down prune never removes entries from surviving
   root-reachable slots, so the kernel skips the prune entirely.
@@ -45,9 +50,9 @@ import heapq
 import itertools
 import time
 from array import array
-from operator import itemgetter
 from typing import Iterator
 
+from repro.compact.tailmajor import leaf_slots, tail_major
 from repro.core.matches import EnumerationStats, Match
 from repro.exceptions import MatchingError
 from repro.kernel.program import KernelProgram
@@ -70,7 +75,8 @@ def bind_program(
     ``matcher`` is the label matcher of the compiled query
     (``compiled.effective_matcher(config.label_matcher)``);
     ``node_weight`` the optional per-node weight callable.  ``store`` is
-    any closure store with ``read_pair_groups`` and ``interner``.
+    any closure store with ``read_pair_groups``, ``read_leaf_slots`` and
+    ``interner``.
 
     The bound result is store-snapshot-specific but reusable: every
     :meth:`BoundProgram.run` call starts an independent enumeration over
@@ -81,6 +87,7 @@ def bind_program(
     alphabet = store.graph.labels()
     interner = store.interner
     id_nodes = interner.nodes()
+    rank = interner.repr_rank()
     order = program.order
     n = len(order)
 
@@ -89,8 +96,6 @@ def bind_program(
         return [None] if data_labels is None else data_labels
 
     def weight(node_id: int) -> float:
-        if node_weight is None:
-            return 0.0
         return float(node_weight(id_nodes[node_id]))
 
     # Live candidates per position, indexed in repr((qnode, node)) order.
@@ -100,21 +105,30 @@ def bind_program(
 
     def settle(pos: int, bs_of: dict[int, float]) -> list[int]:
         """Freeze ``pos``'s live candidates (id -> bs); their ids in order."""
-        qnode = order[pos]
-        ids = [i for _, i in sorted((repr((qnode, id_nodes[i])), i) for i in bs_of)]
-        nodes[pos] = [id_nodes[i] for i in ids]
-        bs[pos] = [bs_of[i] for i in ids]
-        index[pos] = {i: rank for rank, i in enumerate(ids)}
+        ids = sorted(bs_of, key=rank.__getitem__)
+        nodes[pos] = list(map(id_nodes.__getitem__, ids))
+        bs[pos] = list(map(bs_of.__getitem__, ids))
+        index[pos] = dict(zip(ids, range(len(ids))))
         return ids
 
-    def probe(e: int):
-        """PROBE (+ pushed-down DIRECT): the closure groups of edge ``e``,
-        read per expanded label pair exactly as ``build_runtime_graph``
-        reads them."""
-        parent_pos, child_pos, direct = program.edge_specs[e]
-        for tail_label in expand(parent_pos):
-            for head_label in expand(child_pos):
-                yield from store.read_pair_groups(tail_label, head_label, direct)
+    def slots(e: int, child_pos: int):
+        """PROBE (+ pushed-down DIRECT) and ACCUM for one edge: its (keys,
+        childs, offsets, at) view, read per expanded label pair exactly as
+        ``build_runtime_graph`` reads.  A leaf settles here, as every head
+        the edge reaches."""
+        parent_pos, _, direct = program.edge_specs[e]
+        pairs = [(tail, head) for tail in expand(parent_pos) for head in expand(child_pos)]
+        groups = itertools.chain.from_iterable(
+            store.read_pair_groups(*pair, direct) for pair in pairs
+        )
+        if program.child_edges[child_pos]:
+            return tail_major(groups, index[child_pos], bs[child_pos], rank)
+        if node_weight is None and len(pairs) == 1 and None not in pairs[0]:
+            view = store.read_leaf_slots(*pairs[0], direct)
+        else:
+            view = leaf_slots(groups, rank, None if node_weight is None else weight)
+        nodes[child_pos] = list(map(id_nodes.__getitem__, view[0]))
+        return view[1:]
 
     num_edges = len(program.edge_specs)
     slot_off: list[array] = [None] * num_edges  # type: ignore[list-item]
@@ -132,62 +146,36 @@ def bind_program(
                         interner.label_range(label) for label in labels
                     )
                 )
-                settle(0, {i: weight(i) for i in ids})
+                settle(0, {i: 0.0 if node_weight is None else weight(i) for i in ids})
             continue  # a leaf settles when its parent probes the edge
-        # ACCUM, one edge at a time: the rows of live children, keyed
-        # bs[child] + dist and gathered in child-rank order, then
-        # stable-sorted on the key (so ties keep rank order) and dealt out
-        # to their parents.  No per-row tuple is built.
-        runs: list[tuple[list[float], list[int], dict[int, list[int]]]] = []
-        for e, child_pos in kids:
-            groups = probe(e)
-            if not program.child_edges[child_pos]:
-                groups = list(groups)  # a leaf: every head it reaches lives
-                settle(child_pos, {head: weight(head) for head, _, _ in groups})
-            live = index[child_pos]
-            bs_child = bs[child_pos]
-            ranked = sorted(
-                # A dead head's group is read (metered) but never decoded.
-                ((live[head], tails, dists) for head, tails, dists in groups if head in live),
-                key=itemgetter(0),
-            )
-            parents: list[int] = []
-            keys: list[float] = []
-            childs: list[int] = []
-            for child, tails, dists in ranked:
-                base = bs_child[child]
-                parents.extend(tails)
-                keys.extend([base + dist for dist in dists])
-                childs.extend([child] * len(tails))
-            rows_of: dict[int, list[int]] = {}
-            for row in sorted(range(len(keys)), key=keys.__getitem__):
-                rows = rows_of.get(parents[row])
-                if rows is None:
-                    rows_of[parents[row]] = [row]
-                else:
-                    rows.append(row)
-            runs.append((keys, childs, rows_of))
+        views = [slots(e, child_pos) for e, child_pos in kids]
         # A parent lives when every child edge keeps a row for it and its
         # total (weight, then += each edge's minimum in children order) is
         # finite.
         totals: dict[int, float] = {}
-        for parent in set(runs[0][2]).intersection(*(run[2] for run in runs[1:])):
-            total = weight(parent)
-            for keys, _childs, rows_of in runs:
-                total += keys[rows_of[parent][0]]
+        for parent in set(views[0][3]).intersection(*(view[3] for view in views[1:])):
+            total = 0.0 if node_weight is None else weight(parent)
+            for keys, _childs, offsets, at in views:
+                total += keys[offsets[at[parent]]]
             if total < _INF:
                 totals[parent] = total
         ids = settle(pos, totals)
-        # Slot CSR over live parents only, in their index order.
-        for (e, _child_pos), (keys, childs, rows_of) in zip(kids, runs):
-            offsets = [0]
-            picked: list[int] = []
+        # Slot CSR over live parents only, in their index order: the view
+        # itself when every tail lives (both are in rank order), else the
+        # live tails' runs concatenated.
+        for (e, _child_pos), (keys, childs, offsets, at) in zip(kids, views):
+            if len(at) == len(ids):
+                slot_off[e], slot_keys[e], slot_child[e] = offsets, keys, childs
+                continue
+            slot_off[e] = array("q", [0])
+            slot_keys[e] = array("d")
+            slot_child[e] = array("q")
             for parent in ids:
-                picked += rows_of[parent]
-                offsets.append(len(picked))
-            slot_off[e] = array("q", offsets)
-            slot_keys[e] = array("d", [keys[row] for row in picked])
-            slot_child[e] = array("q", [childs[row] for row in picked])
+                j = at[parent]
+                start, stop = offsets[j], offsets[j + 1]
+                slot_keys[e] += keys[start:stop]
+                slot_child[e] += childs[start:stop]
+                slot_off[e].append(len(slot_keys[e]))
 
     # ROOTS: live root candidates sorted by (bs, repr) — a stable sort on
     # bs over indexes already in repr order.

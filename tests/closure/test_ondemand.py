@@ -66,6 +66,46 @@ class TestCaching:
         assert stats["pll_entries"] > 0
 
 
+class UnboundedWildcardStore(OnDemandStore):
+    """Searches every node for a wildcard head label, whatever the tail."""
+
+    def _heads_with_label(self, head_label, tail_label):
+        return super()._heads_with_label(head_label, None if head_label is None else tail_label)
+
+
+class TestWildcardHeadBound:
+    """A wildcard head under a concrete tail label searches only the heads
+    one forward sweep from the tail label reaches; the output is what
+    searching every node gives."""
+
+    @staticmethod
+    def reads(store, tail_label, direct_only):
+        counter = store.counter
+        before = counter.snapshot()
+        result = (
+            [
+                (head, list(tails), list(dists))
+                for head, tails, dists in store.read_pair_groups(tail_label, None, direct_only)
+            ],
+            store.read_d_table(tail_label, None),
+            store.read_e_table(tail_label, None),
+        )
+        delta = counter.delta_since(before)
+        return result, (delta.blocks_read, delta.entries_read, delta.tables_opened)
+
+    @pytest.mark.parametrize("direct_only", (False, True))
+    @pytest.mark.parametrize("tail_label", ("V0", "V5", "V11", "absent"))
+    def test_same_reads_fewer_searches(self, tail_label, direct_only):
+        g = citation_graph(400, num_labels=12, seed=1)
+        bounded, unbounded = OnDemandStore(g), UnboundedWildcardStore(g)
+        got = self.reads(bounded, tail_label, direct_only)
+        assert got == self.reads(unbounded, tail_label, direct_only)
+        assert unbounded.searches_run == 400
+        assert bounded.searches_run < 400
+        if tail_label == "V0":
+            assert got[0][0], "V0 reaches other nodes"
+
+
 class TestEnginesRunUnchanged:
     @pytest.mark.parametrize("seed", range(15))
     def test_topk_en_agrees(self, seed):

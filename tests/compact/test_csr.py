@@ -95,6 +95,16 @@ class TestSearches:
         }
         assert forward == backward
 
+    @given(graphs(min_nodes=2, max_nodes=16, max_edges=40))
+    @settings(max_examples=40, deadline=None)
+    def test_reached_from_is_the_union_of_forward_searches(self, g):
+        cg = compact_of(g)
+        for label, id_range in cg.interner.label_ranges():
+            union = set()
+            for source in id_range:
+                union.update(cg.shortest_from(source)[0])
+            assert cg.reached_from(id_range) == sorted(union), label
+
     def test_targets_are_id_sorted(self):
         g = graph_from_edges(
             {1: "A", 2: "B", 3: "B", 4: "C"},

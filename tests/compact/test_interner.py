@@ -67,6 +67,32 @@ class TestProperties:
             members = [interner.resolve(i) for i in id_range]
             assert members == sorted(members, key=repr)
 
+    @given(label_maps(min_nodes=1, max_nodes=40))
+    @settings(max_examples=40, deadline=None)
+    def test_repr_rank_is_the_tuple_repr_order(self, labeled):
+        """Ranks order ids as repr((qnode, node)) does, for any qnode."""
+        interner = NodeInterner(labeled)
+        rank = interner.repr_rank()
+        assert sorted(rank) == list(range(len(interner)))
+        by_rank = sorted(range(len(interner)), key=rank.__getitem__)
+        for qnode in (0, "u", (1, "v")):
+            assert by_rank == sorted(
+                range(len(interner)),
+                key=lambda i: (repr((qnode, interner.resolve(i))), i),
+            )
+        assert interner.repr_rank() is rank
+
+    def test_repr_rank_departs_from_id_order_on_repr_prefixes(self):
+        class Named(str):
+            def __repr__(self):
+                return str(self)
+
+        n, n_bang, n_bang_x = Named("n"), Named("n!"), Named("n!x")
+        interner = NodeInterner({n: "A", n_bang: "A", n_bang_x: "A"})
+        # Plain repr (id) order puts "n" first; "n)" sorts after "n!)".
+        assert [interner.resolve(i) for i in range(3)] == [n, n_bang, n_bang_x]
+        assert list(interner.repr_rank()) == [2, 0, 1]
+
     @given(graphs(min_nodes=2, max_nodes=20))
     @settings(max_examples=40, deadline=None)
     def test_deterministic_across_builds(self, graph):

@@ -1,5 +1,7 @@
 """Execution: bound programs replay the reference interpreter exactly."""
 
+import gc
+
 import pytest
 
 from repro.engine import MatchEngine
@@ -56,6 +58,24 @@ QUERIES = (
     "A",              # single node, no edges
 )
 
+class Tag:
+    """A hashable node id whose ``repr`` is exactly its text."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        self.text = text
+
+    def __repr__(self):
+        return self.text
+
+    def __eq__(self, other):
+        return isinstance(other, Tag) and other.text == self.text
+
+    def __hash__(self):
+        return hash(self.text)
+
+
 #: Node-id families whose repr order differs from the order of the ids
 #: themselves and, across labels, from the interned (label-major) order.
 NON_INTEGER_IDS = {
@@ -63,6 +83,13 @@ NON_INTEGER_IDS = {
     "tuples": [(i % 2, 4 - i, "t") for i in range(9)],
     "negative-ints": [-(9 - i) for i in range(9)],
     "mixed-1-10-2": [1, 10, 2, 100, 20, 3, 11, 21, 110],
+    # Reprs that are prefixes of each other inside one label, extended by
+    # a character below ")": the interned (plain repr) order puts "n"
+    # first, repr((qnode, node)) puts it last.  Labels: A n, n!, n!x;
+    # B m, m#, m$; C p, "p ", p&.
+    "repr-prefix-chains": [
+        Tag(text) for text in ("n", "m", "p", "n!", "m#", "p ", "n!x", "m$", "p&")
+    ],
 }
 
 
@@ -85,6 +112,14 @@ class TestExactEquivalence:
         assert want, "the query must match"
         assert exact(kernel_bind(engine, compiled).run().top_k(25)) == want
 
+    def test_leaf_memo_keeps_the_axes_apart(self):
+        """``//`` and ``/`` leaves over one pair table memoize separately."""
+        engine = MatchEngine(tie_graph(), backend="full")
+        for query in ("A//B", "A/B", "C//A/B", "A//B"):
+            compiled = engine.compile(query)
+            want = reference(engine, compiled, 1000)
+            assert exact(kernel_bind(engine, compiled).run().top_k(1000)) == want, query
+
     def test_node_weights_replayed(self):
         engine = MatchEngine(
             tie_graph(), backend="full",
@@ -104,14 +139,16 @@ class TestExactEquivalence:
         assert kernel_bind(engine, compiled).run().top_k(5) == []
 
     @pytest.mark.parametrize("family", sorted(NON_INTEGER_IDS))
-    @pytest.mark.parametrize("query", QUERIES)
+    @pytest.mark.parametrize("query", QUERIES + ("C//A//B", "B//A"))
     def test_tie_order_with_non_integer_node_ids(self, family, query):
-        """Ties break on repr((qnode, node)), never on id or value order."""
+        """Ties break on repr((qnode, node)), never on id or value order —
+        on a cold bind and on a second bind that hits the leaf memo."""
         engine = MatchEngine(tie_graph(NON_INTEGER_IDS[family]), backend="full")
         compiled = engine.compile(query)
         want = reference(engine, compiled, 1000)
         assert want, "the tie graph must match"
-        assert exact(kernel_bind(engine, compiled).run().top_k(1000)) == want
+        for _ in range(2):
+            assert exact(kernel_bind(engine, compiled).run().top_k(1000)) == want
 
 
 def containment_graph():
@@ -122,41 +159,82 @@ def containment_graph():
     return graph_from_edges(labels, base.edges())
 
 
+def bound_arrays(bound):
+    """Everything a bind freezes, as comparable values."""
+    return (
+        bound.nodes,
+        [(a.typecode, a.tolist()) for a in bound.slot_off],
+        [(a.typecode, a.tolist()) for a in bound.slot_keys],
+        [(a.typecode, a.tolist()) for a in bound.slot_child],
+        bound.root_keys.tolist(),
+        bound.root_cand.tolist(),
+    )
+
+
+def leaf_memos(store):
+    """The leaf views memoized on a store's pair tables."""
+    tables = getattr(getattr(store, "_materialized", store), "_pair_tables", {}).values()
+    return [
+        view
+        for table in tables
+        for view in (table._leaf, table._leaf_direct)
+        if view is not None
+    ]
+
+
 class TestClosureReads:
     """The compiled tier reads exactly what Topk's run-time-graph load reads."""
 
+    #: Query -> a query that reaches the same leaf tables under other
+    #: query nodes (its leaves sit one level deeper).
+    QUERIES = {
+        "{V0+x}//{V1+y}[{V2+x}]": "{V3+y}//{V0+x}//{V1+y}[{V2+x}]",  # plain twig
+        "{V0+x}//*[{V3+y}]": "{V2+y}//{V0+x}//*[{V3+y}]",  # wildcard
+        "~V1//~V2[~x]": "{V3+y}//~V1//~V2[~x]",  # containment fan-out
+        "{V0+x}/{V1+y}//{V2+x}": "{V3+y}//{V0+x}/{V1+y}//{V2+x}",  # '/' axis
+        "{V0+x}//{V1+y}": "{V2+x}//{V0+x}//{V1+y}",  # single leaf edge
+    }
+
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize(
-        "query",
-        (
-            "{V0+x}//{V1+y}[{V2+x}]",   # plain twig
-            "{V0+x}//*[{V3+y}]",        # wildcard
-            "~V1//~V2[~x]",             # containment fan-out
-            "{V0+x}/{V1+y}//{V2+x}",    # '/' axis
-        ),
-    )
+    @pytest.mark.parametrize("query", sorted(QUERIES))
     def test_bind_reads_what_the_runtime_graph_load_reads(self, backend, query):
-        engine = MatchEngine(containment_graph(), backend=backend)
-        compiled = engine.compile(query)
-        matcher = compiled.effective_matcher(engine.config.label_matcher)
-        counter = engine.store.counter
+        """A cold bind, a warm bind (leaf memo hit) and a bind whose leaf
+        views another query built all meter what ``build_runtime_graph``
+        meters and freeze identical arrays."""
 
-        def reads(load):
+        def reads(engine, load):
+            counter = engine.store.counter
             before = counter.snapshot()
-            load()
+            result = load()
             delta = counter.delta_since(before)
-            return delta.blocks_read, delta.entries_read, delta.tables_opened
+            return result, (delta.blocks_read, delta.entries_read, delta.tables_opened)
 
-        # Twice each, so on-demand search caches are warm for both.
-        for _ in range(2):
-            loaded = reads(
-                lambda: build_runtime_graph(engine.store, compiled.tree, matcher)
+        def load_and_bind(engine, text):
+            compiled = engine.compile(text)
+            matcher = compiled.effective_matcher(engine.config.label_matcher)
+            _, loaded = reads(
+                engine, lambda: build_runtime_graph(engine.store, compiled.tree, matcher)
             )
-            bound = reads(lambda: kernel_bind(engine, compiled))
-            assert bound == loaded
+            bound, read = reads(engine, lambda: kernel_bind(engine, compiled))
+            assert read == loaded
+            return bound_arrays(bound), loaded
+
+        engine = MatchEngine(containment_graph(), backend=backend)
+        cold, loaded = load_and_bind(engine, query)
+        warm, _ = load_and_bind(engine, query)
+        other = MatchEngine(containment_graph(), backend=backend)
+        load_and_bind(other, self.QUERIES[query])
+        after_other, _ = load_and_bind(other, query)
+        assert cold == warm == after_other
         assert loaded[2] > 0
         if backend == "full":
             assert loaded[0] > 0 and loaded[1] > 0
+        memos = leaf_memos(engine.store) + leaf_memos(other.store)
+        if backend == "full" and "~" not in query and "*" not in query:
+            assert memos, "single-pair leaf edges must memoize"
+        gc.collect()
+        for view in memos:
+            assert not any(gc.is_tracked(member) for member in view)
 
 
 class TestRunProtocol:

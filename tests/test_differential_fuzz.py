@@ -467,6 +467,27 @@ def _closure_reads(counter, load):
     return result, (delta.blocks_read, delta.entries_read, delta.tables_opened)
 
 
+def _three_binds(graph, backend, compiled, engine, **options):
+    """Bind ``compiled`` cold and warm (leaf memo hit) on ``engine``, then on
+    a fresh engine over the same graph: ``[(bound, metered reads)] * 3``."""
+    from repro.kernel import bind_program, compile_program
+
+    program = compile_program(compiled)
+    binds = []
+    for target in (engine, engine, MatchEngine(graph, backend=backend, **options)):
+        matcher = compiled.effective_matcher(target.config.label_matcher)
+        binds.append(
+            _closure_reads(
+                target.store.counter,
+                lambda: bind_program(
+                    program, target.store, matcher=matcher,
+                    node_weight=target.config.node_weight,
+                ),
+            )
+        )
+    return binds
+
+
 @given(
     instance=graph_and_query(max_query_size=4, wildcards=True),
     k=st.integers(1, 10),
@@ -479,26 +500,20 @@ def test_compiled_kernel_is_bit_identical_to_interpreter(instance, k):
     scores, assignments, and order must all be identical — on every
     backend (plain and wildcard queries; ``/`` axes included by the
     strategy) — and its bind reads exactly the closure blocks the
-    interpreter's run-time-graph load reads.
+    interpreter's run-time-graph load reads.  Each query binds cold, warm
+    (leaf memo hit) and on a fresh engine.
     """
-    from repro.kernel import bind_program, compile_program
-
     graph, query = instance
     for backend in BACKENDS:
         engine = MatchEngine(graph, backend=backend)
         compiled = engine.compile(query)
-        counter = engine.store.counter
         enumerator, loaded = _closure_reads(
-            counter, lambda: engine._build_enumerator(compiled, "topk")
+            engine.store.counter, lambda: engine._build_enumerator(compiled, "topk")
         )
         reference = exact(enumerator.top_k(k))
-        program = compile_program(compiled)
-        matcher = compiled.effective_matcher(engine.config.label_matcher)
-        bound, read = _closure_reads(
-            counter, lambda: bind_program(program, engine.store, matcher=matcher)
-        )
-        assert read == loaded, backend
-        assert exact(bound.run().top_k(k)) == reference, backend
+        for bound, read in _three_binds(graph, backend, compiled, engine):
+            assert read == loaded, backend
+            assert exact(bound.run().top_k(k)) == reference, backend
 
 
 @given(
@@ -508,24 +523,28 @@ def test_compiled_kernel_is_bit_identical_to_interpreter(instance, k):
 )
 @fuzz_settings
 def test_compiled_kernel_containment_weighted_bit_identical(instance, k, data):
-    """Containment queries (``~A//~B`` family) on weighted graphs:
-    kernel == reference interpreter byte-for-byte."""
-    from repro.kernel import bind_program, compile_program
-
+    """Containment queries (``~A//~B`` family) on weighted graphs, each
+    beside a single-label ``//`` or ``/`` one, with and without node
+    weights: kernel == reference interpreter byte-for-byte, cold, warm
+    and on a fresh engine."""
     graph, _ = instance
     labels = sorted(graph.labels(), key=repr)
     first, second = data.draw(st.permutations(labels))[:2]
-    query = f"~{first}//~{second}"
-    for backend in ("full", data.draw(st.sampled_from(BACKENDS))):
-        engine = MatchEngine(graph, backend=backend)
-        compiled = engine.compile(query)
-        reference = exact(
-            engine._build_enumerator(compiled, "topk").top_k(k)
-        )
-        program = compile_program(compiled)
-        matcher = compiled.effective_matcher(engine.config.label_matcher)
-        bound = bind_program(program, engine.store, matcher=matcher)
-        assert exact(bound.run().top_k(k)) == reference, backend
+    axis = data.draw(st.sampled_from(("//", "/")))
+    options = (
+        {"node_weight": lambda node: float(hash(node) % 3)}
+        if data.draw(st.booleans())
+        else {}
+    )
+    for query in (f"~{first}//~{second}", f"{first}{axis}{second}"):
+        for backend in ("full", data.draw(st.sampled_from(BACKENDS))):
+            engine = MatchEngine(graph, backend=backend, **options)
+            compiled = engine.compile(query)
+            reference = exact(
+                engine._build_enumerator(compiled, "topk").top_k(k)
+            )
+            for bound, _ in _three_binds(graph, backend, compiled, engine, **options):
+                assert exact(bound.run().top_k(k)) == reference, (backend, query)
 
 
 @given(
