@@ -160,8 +160,13 @@ class HybridStore:
             tail_label, head_label, direct_only
         )
 
-    def read_leaf_slots(self, tail_label: Label, head_label: Label, direct_only: bool = False):
-        """One pair table as a tail-major leaf view, hot tables when possible."""
+    def read_leaf_slots(
+        self,
+        tail_label: Label | None,
+        head_label: Label | None,
+        direct_only: bool = False,
+    ) -> list:
+        """Tail-major views of a label pair's tables, hot tables when possible."""
         return self._side(tail_label, head_label).read_leaf_slots(
             tail_label, head_label, direct_only
         )

@@ -209,11 +209,16 @@ class OnDemandStore:
                 run = list(compress(run, keep))
             yield head_id, tails, run
 
-    def read_leaf_slots(self, tail_label: Label, head_label: Label, direct_only: bool = False):
-        """:meth:`read_pair_groups` as an unmemoized leaf view (see
+    def read_leaf_slots(
+        self,
+        tail_label: Label | None,
+        head_label: Label | None,
+        direct_only: bool = False,
+    ) -> list:
+        """:meth:`read_pair_groups` as one unmemoized tail-major view (see
         :meth:`repro.closure.store.ClosureStore.read_leaf_slots`)."""
         groups = self.read_pair_groups(tail_label, head_label, direct_only)
-        return leaf_slots(groups, self._interner.repr_rank())
+        return [leaf_slots(groups, self._interner.repr_rank())]
 
     def read_pair_table(
         self,

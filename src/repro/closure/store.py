@@ -40,7 +40,7 @@ from typing import Iterator, Sequence
 
 from repro.closure.transitive import TransitiveClosure
 from repro.compact import NodeInterner, buffer_bytes
-from repro.compact.tailmajor import leaf_slots
+from repro.compact.tailmajor import leaf_slots, pack, unpack
 from repro.exceptions import ClosureError
 from repro.graph.digraph import Label, LabeledDiGraph, NodeId
 from repro.storage.blocks import (
@@ -168,19 +168,17 @@ class _PairTable:
                 yield heads[j], run, list(compress(dists[start:stop], keep))
 
     def leaf_slots(self, rank, direct_only: bool):
-        """A fresh copy of the table's memoized leaf view (see
-        :func:`repro.compact.tailmajor.leaf_slots`).  The memo keeps the
-        columns as ``bytes`` (``array`` objects are GC-tracked) and the
-        table never changes, so it never goes stale; racing first calls
+        """The table's memoized tail-major view (see
+        :func:`repro.compact.tailmajor.leaf_slots`), as read-only views of
+        its packed memo (``array`` objects are GC-tracked).  The table
+        never changes, so the memo never goes stale; racing first calls
         may build it twice, and one attribute store publishes it."""
         name = "_leaf_direct" if direct_only else "_leaf"
-        view = getattr(self, name)
-        if view is None:
-            *columns, at = leaf_slots(self.groups(direct_only), rank)
-            view = (*(column.tobytes() for column in columns), at)
-            setattr(self, name, view)
-        *columns, at = view
-        return (*map(array, "qdqq", columns), at)
+        packed = getattr(self, name)
+        if packed is None:
+            packed = pack(leaf_slots(self.groups(direct_only), rank))
+            setattr(self, name, packed)
+        return unpack(packed)
 
     def group_bounds(self, head_id: int) -> tuple[int, int] | None:
         """The ``[start, stop)`` run of ``head_id``'s group, or ``None``."""
@@ -463,20 +461,29 @@ class ClosureStore:
             )
             yield from table.groups(direct_only)
 
-    def read_leaf_slots(self, tail_label: Label, head_label: Label, direct_only: bool = False):
-        """Read one ``L^alpha_beta`` table as its memoized leaf view, metered
-        exactly as :meth:`read_pair_groups`: one open, every block.  The view
-        (:func:`repro.compact.tailmajor.leaf_slots`) is the slots of an edge
-        into an unweighted leaf under any query node, since ``repr((qnode,
-        node))`` orders nodes as ``repr(node) + ")"`` does.  The memo holds
-        at most one copy of each table per ``direct_only`` value."""
+    def read_leaf_slots(
+        self,
+        tail_label: Label | None,
+        head_label: Label | None,
+        direct_only: bool = False,
+    ) -> list:
+        """Read each ``L^alpha_beta`` table of a label pair as its memoized
+        tail-major view, one per table, metered exactly as
+        :meth:`read_pair_groups`: one open and every block per table.  A
+        view (:func:`repro.compact.tailmajor.leaf_slots`) is the slots of
+        an edge into an unweighted leaf under any query node, since
+        ``repr((qnode, node))`` orders nodes as ``repr(node) + ")"`` does;
+        the kernel bind rekeys it for any other edge.  The memo holds at
+        most one copy of each table per ``direct_only`` value."""
         rank = self._interner.repr_rank()
-        table = self._pair_tables.get((tail_label, head_label))
-        if table is None:
-            return leaf_slots((), rank)
-        self.counter.record_open()
-        self.counter.record_read(table.num_entries, table.num_blocks(self.directory.block_size))
-        return table.leaf_slots(rank, direct_only)
+        block_size = self.directory.block_size
+        views = []
+        for pair in self._pairs_matching(tail_label, head_label):
+            table = self._pair_tables[pair]
+            self.counter.record_open()
+            self.counter.record_read(table.num_entries, table.num_blocks(block_size))
+            views.append(table.leaf_slots(rank, direct_only))
+        return views
 
     def read_pair_table(
         self,

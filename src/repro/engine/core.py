@@ -126,8 +126,10 @@ class MatchEngine:
         self._kgpm_lock = make_lock("engine.kgpm")
         # Compiled-tier bindings: program (identity) -> the
         # BoundProgram over this engine's store.  Guarded like the kGPM
-        # cache; bound arrays are immutable so sharing across threads is
-        # safe, and each execution starts a fresh KernelRun.
+        # cache; a BoundProgram's candidates are immutable and its slots
+        # are sorted on first read and published by one list-item store,
+        # so sharing across threads is safe, and each execution starts a
+        # fresh KernelRun.
         self._kernel_bindings: OrderedDict[KernelProgram, "object"] = OrderedDict()
         self._kernel_lock = make_lock("engine.kernel")
 

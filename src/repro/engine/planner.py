@@ -300,8 +300,8 @@ class Planner:
             )
             return TIER_INTERPRETED
         reasons.append(
-            "lowered to a compiled kernel program: flat slot arrays over "
-            "closure rows, no per-node interpreter dispatch"
+            "lowered to a compiled kernel program: memoized closure rows, "
+            "slots sorted on first read, no per-node interpreter dispatch"
         )
         return TIER_COMPILED
 

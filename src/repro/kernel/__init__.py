@@ -3,10 +3,12 @@
 ``compile_program`` lowers a ``CompiledQuery`` into a store-independent
 :class:`KernelProgram` (a small register-style opcode sequence plus the
 structure tables its executor needs); ``bind_program`` executes the
-scan/probe/accumulate ops against a closure store — one grouped
-interned-id read per query edge, slot rows for live parents only — into
-a :class:`BoundProgram` of flat arrays; ``BoundProgram.run()`` starts
-interpreter-exact Lawler enumerations (:class:`KernelRun`).
+scan/probe/accumulate ops against a closure store — the memoized
+tail-major view of each pair table of each query edge, and from it each
+tail's minimum of ``bs[head] + dist`` — into a :class:`BoundProgram`,
+whose live parents' slots are sorted the first time an enumeration
+reads them; ``BoundProgram.run()`` starts interpreter-exact Lawler
+enumerations (:class:`KernelRun`).
 
 The planner selects the tier (``QueryPlan.tier == "compiled"``); the
 ``REPRO_KERNEL`` environment variable is the kill switch.  There is one

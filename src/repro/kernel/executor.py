@@ -1,47 +1,38 @@
-"""Bind + execute kernel programs over flat arrays.
+"""Bind + execute kernel programs: eager minimums, slots sorted on demand.
 
 :func:`bind_program` runs a :class:`~repro.kernel.program.KernelProgram`
-against a closure store, bottom-up over the query's BFS positions.  For
-each query edge it executes the PROBE op (plus the pushed-down DIRECT
-filter) as one grouped read of the store's ``L`` pair tables in interned
-id space, then the ACCUM op: rows of live child candidates, keyed by
-``bs[child] + dist``, are dealt per parent in the interpreter's exact
-``(key, repr)`` tie order (:mod:`repro.compact.tailmajor`).  An edge
-into a leaf has one path: a single-label, unweighted one reads the
-store's memoized view (``read_leaf_slots``), any other builds the same
-view from ``read_pair_groups``.  A leaf's ``bs`` is its node weight, so
-its slots depend on the pair table alone.  Only live parents get slot
-rows, as CSR arrays (offsets + keys + child indexes), concatenated from
-the view's runs; ROOTS sorts the live root candidates.  The result is a
-:class:`BoundProgram` — pure arrays, no per-node objects — from which
-:meth:`BoundProgram.run` starts fresh :class:`KernelRun` enumerations
-(the PUSH op: the Lawler loop over array slices).
+against a closure store.  Its eager part walks BFS positions bottom-up:
+per query edge, PROBE (with the pushed-down DIRECT filter) reads the
+memoized tail-major view of each expanded pair table
+(``read_leaf_slots``, :mod:`repro.compact.tailmajor`), and ACCUM takes
+each tail's minimum of ``bs[head] + dist`` in C-level ``map``/``min``
+passes over a per-head ``bs`` vector (``inf`` for dead heads).  A parent
+lives when every child edge gives it a finite total; ROOTS sorts the
+live roots.  The lazy part is each live parent's slot, sorted on ``(key,
+child index)`` the first time a :class:`KernelRun` (PUSH: the Lawler
+loop) reads it, then shared by every run of the :class:`BoundProgram`.
 
 Equivalence contract (fuzz-pinned byte-for-byte in
-``tests/test_differential_fuzz.py``): for every query the kernel
-supports, a :class:`KernelRun` produces the *identical* match sequence —
-same assignments, same scores, same order, including tie order — as
-``TopkEnumerator`` over ``build_runtime_graph``, and the bind reads the
-same closure blocks the interpreter's load reads.  The load notes:
+``tests/test_differential_fuzz.py``): a :class:`KernelRun` produces the
+*identical* match sequence — assignments, scores and order, ties
+included — as ``TopkEnumerator`` over ``build_runtime_graph``, and the
+bind reads the same closure blocks that load reads.  The load notes:
 
-* ``StaticSlot`` extraction order is a pure function of the entry set
-  sorted by ``(key, repr(payload))``.  Each position's live candidates
-  are indexed in ``repr((qnode, node))`` order — for a fixed ``qnode``
-  the order of ``repr(node) + ")"``, the interner's ``repr_rank`` — so
-  a child's index is its tie-break rank and slots sort on ``(key, child
-  index)``; slots become pre-sorted array slices and ``ith(rank)``
-  becomes O(1) indexing.
-* Run-time-graph viability equals ``bs``-existence, and the
-  interpreter's top-down prune never removes entries from surviving
-  root-reachable slots, so the kernel skips the prune entirely.
-* Dead children are *excluded* from slot rows (never carried with
-  ``inf`` keys, which would corrupt Case-2 second-best peeks): the
-  closure groups of dead heads are read (metered) but never decoded.
-  Dead parents get no slot rows at all; dead branches surface only as
-  missing parents one level up.
-* All float arithmetic replays the interpreter's operation sequence:
-  ``bs[child] + dist`` per row, per-child ``+=`` of group minimums in
-  children order, incremental ``score + (next - prev)`` deltas.
+* ``StaticSlot`` extraction order is the entry set sorted by ``(key,
+  repr(payload))``.  Each position's live candidates are indexed in
+  ``repr((qnode, node))`` order — for a fixed ``qnode`` the order of
+  ``repr(node) + ")"``, the interner's ``repr_rank`` — so a child's
+  index is its tie-break rank, slots sort on ``(key, child index)`` and
+  ``ith(rank)`` is O(1) indexing.
+* Viability equals ``bs``-existence, and the interpreter's top-down
+  prune never removes entries from surviving slots, so the kernel skips
+  the prune.
+* Dead children never enter slots (an ``inf`` key would corrupt Case-2
+  second-best peeks); they only take part in the minimums, as ``inf``.
+  Dead parents get no slots; dead branches surface as missing parents.
+* Float arithmetic replays the interpreter's: ``bs[child] + dist`` per
+  row, ``+=`` of slot minimums in children order, incremental ``score +
+  (next - prev)`` deltas.
 """
 
 from __future__ import annotations
@@ -50,132 +41,138 @@ import heapq
 import itertools
 import time
 from array import array
+from bisect import bisect_left, bisect_right
+from operator import add, getitem
 from typing import Iterator
 
-from repro.compact.tailmajor import leaf_slots, tail_major
 from repro.core.matches import EnumerationStats, Match
 from repro.exceptions import MatchingError
 from repro.kernel.program import KernelProgram
 
 _INF = float("inf")
 
+#: A dead child's slot row: ``bs`` inf, child index -1.
+_DEAD = (_INF, -1)
+
 #: Sentinel edge index addressing the root slot.
 _ROOT_SLOT = -1
 
 
-def bind_program(
-    program: KernelProgram,
-    store,
-    *,
-    matcher,
-    node_weight=None,
-) -> "BoundProgram":
+def bind_program(program: KernelProgram, store, *, matcher, node_weight=None) -> "BoundProgram":
     """Execute the program's scan/probe/accumulate ops against ``store``.
 
     ``matcher`` is the label matcher of the compiled query
     (``compiled.effective_matcher(config.label_matcher)``);
     ``node_weight`` the optional per-node weight callable.  ``store`` is
-    any closure store with ``read_pair_groups``, ``read_leaf_slots`` and
-    ``interner``.
+    any closure store with ``read_leaf_slots`` and ``interner``.
 
     The bound result is store-snapshot-specific but reusable: every
     :meth:`BoundProgram.run` call starts an independent enumeration over
-    the same frozen arrays, which is what makes warm repeated serving
-    queries cheap.
+    the same frozen candidates and slot sources, which is what makes
+    warm repeated serving queries cheap.
     """
     started = time.perf_counter()
     alphabet = store.graph.labels()
     interner = store.interner
     id_nodes = interner.nodes()
     rank = interner.repr_rank()
-    order = program.order
-    n = len(order)
-
-    def expand(pos: int):
-        data_labels = matcher.data_labels_for(program.labels[pos], alphabet)
-        return [None] if data_labels is None else data_labels
+    n = program.num_positions
+    # SCAN / FANOUT: each position's data labels, expanded once.
+    labels = []
+    for label in program.labels:
+        data_labels = matcher.data_labels_for(label, alphabet)
+        labels.append([None] if data_labels is None else data_labels)
 
     def weight(node_id: int) -> float:
         return float(node_weight(id_nodes[node_id]))
 
-    # Live candidates per position, indexed in repr((qnode, node)) order.
-    nodes: list[list] = [None] * n  # type: ignore[list-item]
-    bs: list[list[float]] = [None] * n  # type: ignore[list-item]
-    index: list[dict[int, int]] = [None] * n  # type: ignore[list-item]
+    # Live candidates per position as ids in repr((qnode, node)) order,
+    # with their bs scores (None: a leaf's, all 0.0).
+    ids: list = [None] * n
+    bs: list = [None] * n
 
-    def settle(pos: int, bs_of: dict[int, float]) -> list[int]:
-        """Freeze ``pos``'s live candidates (id -> bs); their ids in order."""
-        ids = sorted(bs_of, key=rank.__getitem__)
-        nodes[pos] = list(map(id_nodes.__getitem__, ids))
-        bs[pos] = list(map(bs_of.__getitem__, ids))
-        index[pos] = dict(zip(ids, range(len(ids))))
-        return ids
+    def accumulate(parent_pos: int, child_pos: int, direct: bool):
+        """PROBE (+ pushed-down DIRECT) and the eager ACCUM of one edge:
+        its slot sources ``[(tails, offsets, keys, childs, hbs, hidx)]``,
+        one per head label, and each tail's minimum of ``bs[head] +
+        dist``.  ``hbs`` maps a view's head to its ``bs``, ``inf`` when
+        dead (``None``: all ``0.0``), ``hidx`` to its child index, ``-1``
+        when dead (``None``: the view's own head order).  A leaf settles
+        here, as every head the edge reaches."""
+        views = [
+            view
+            for tail in labels[parent_pos]
+            for head in labels[child_pos]
+            for view in store.read_leaf_slots(tail, head, direct)
+            if len(view[0])
+        ]
+        lone = len(views) == 1  # one table: its heads are exactly the children
+        # One head label's tables under distinct tail labels hold disjoint
+        # tails and join into one view; across head labels a tail's runs
+        # merge when its slot is sorted.
+        by_label: dict = {}
+        for view in views:
+            by_label.setdefault(interner.label_of(view[0][0]), []).append(view)
+        views = [_joined(tables) for tables in by_label.values()]
+        leaf = not program.child_edges[child_pos]
+        if leaf:
+            ids[child_pos] = (
+                views[0][0]
+                if lone
+                else sorted(set().union(*(view[0] for view in views)), key=rank.__getitem__)
+            )
+            if node_weight is not None:
+                bs[child_pos] = list(map(weight, ids[child_pos]))
+        child_bs = bs[child_pos]
+        index = None
+        if not (leaf and lone):
+            index = dict(zip(ids[child_pos], range(len(ids[child_pos]))))
+            bs_of = None if child_bs is None else child_bs + [_INF]  # hidx -1: inf
+        sources = []
+        minimum: dict[int, float] = {}
+        for heads, keys, childs, offsets, tails, lows in views:
+            hidx = None if index is None else list(map(index.get, heads, itertools.repeat(-1)))
+            hbs = child_bs if hidx is None or bs_of is None else list(map(bs_of.__getitem__, hidx))
+            sources.append((tails, offsets, keys, childs, hbs, hidx))
+            if hbs is None:  # the table's own keys
+                mins = dict(zip(tails, lows))
+            else:
+                row_keys = list(map(add, map(hbs.__getitem__, childs), keys))
+                runs = map(slice, offsets, offsets[1:])
+                mins = dict(zip(tails, map(min, map(row_keys.__getitem__, runs))))
+            if not minimum:
+                minimum = mins
+                continue
+            for tail, key in mins.items():  # a tail's runs under several head labels
+                if key < minimum.get(tail, _INF):
+                    minimum[tail] = key
+        return sources, minimum
 
-    def slots(e: int, child_pos: int):
-        """PROBE (+ pushed-down DIRECT) and ACCUM for one edge: its (keys,
-        childs, offsets, at) view, read per expanded label pair exactly as
-        ``build_runtime_graph`` reads.  A leaf settles here, as every head
-        the edge reaches."""
-        parent_pos, _, direct = program.edge_specs[e]
-        pairs = [(tail, head) for tail in expand(parent_pos) for head in expand(child_pos)]
-        groups = itertools.chain.from_iterable(
-            store.read_pair_groups(*pair, direct) for pair in pairs
-        )
-        if program.child_edges[child_pos]:
-            return tail_major(groups, index[child_pos], bs[child_pos], rank)
-        if node_weight is None and len(pairs) == 1 and None not in pairs[0]:
-            view = store.read_leaf_slots(*pairs[0], direct)
-        else:
-            view = leaf_slots(groups, rank, None if node_weight is None else weight)
-        nodes[child_pos] = list(map(id_nodes.__getitem__, view[0]))
-        return view[1:]
-
-    num_edges = len(program.edge_specs)
-    slot_off: list[array] = [None] * num_edges  # type: ignore[list-item]
-    slot_keys: list[array] = [None] * num_edges  # type: ignore[list-item]
-    slot_child: list[array] = [None] * num_edges  # type: ignore[list-item]
+    sources: list = [None] * len(program.edge_specs)
     for pos in range(n - 1, -1, -1):
         kids = program.child_edges[pos]
         if not kids:
             if n == 1:  # single-node query: every label match is a root
-                labels = matcher.data_labels_for(program.labels[0], alphabet)
-                ids = (
-                    range(len(id_nodes))
-                    if labels is None
-                    else itertools.chain.from_iterable(
-                        interner.label_range(label) for label in labels
-                    )
+                ranges = [range(len(id_nodes))] if labels[0] == [None] else map(
+                    interner.label_range, labels[0]
                 )
-                settle(0, {i: 0.0 if node_weight is None else weight(i) for i in ids})
+                ids[0] = sorted(itertools.chain.from_iterable(ranges), key=rank.__getitem__)
+                bs[0] = [0.0] * len(ids[0]) if node_weight is None else list(map(weight, ids[0]))
             continue  # a leaf settles when its parent probes the edge
-        views = [slots(e, child_pos) for e, child_pos in kids]
-        # A parent lives when every child edge keeps a row for it and its
+        edges = [accumulate(pos, child_pos, program.edge_specs[e][2]) for e, child_pos in kids]
+        # A parent lives when every child edge has a row for it and its
         # total (weight, then += each edge's minimum in children order) is
         # finite.
-        totals: dict[int, float] = {}
-        for parent in set(views[0][3]).intersection(*(view[3] for view in views[1:])):
-            total = 0.0 if node_weight is None else weight(parent)
-            for keys, _childs, offsets, at in views:
-                total += keys[offsets[at[parent]]]
-            if total < _INF:
-                totals[parent] = total
-        ids = settle(pos, totals)
-        # Slot CSR over live parents only, in their index order: the view
-        # itself when every tail lives (both are in rank order), else the
-        # live tails' runs concatenated.
-        for (e, _child_pos), (keys, childs, offsets, at) in zip(kids, views):
-            if len(at) == len(ids):
-                slot_off[e], slot_keys[e], slot_child[e] = offsets, keys, childs
-                continue
-            slot_off[e] = array("q", [0])
-            slot_keys[e] = array("d")
-            slot_child[e] = array("q")
-            for parent in ids:
-                j = at[parent]
-                start, stop = offsets[j], offsets[j + 1]
-                slot_keys[e] += keys[start:stop]
-                slot_child[e] += childs[start:stop]
-                slot_off[e].append(len(slot_keys[e]))
+        minimums = [minimum for _, minimum in edges]
+        parents = sorted(set(minimums[0]).intersection(*minimums[1:]), key=rank.__getitem__)
+        totals = [0.0] * len(parents) if node_weight is None else list(map(weight, parents))
+        for minimum in minimums:
+            totals = list(map(add, totals, map(minimum.__getitem__, parents)))
+        live = list(map(_INF.__gt__, totals))
+        ids[pos] = list(itertools.compress(parents, live))
+        bs[pos] = list(itertools.compress(totals, live))
+        for (e, _child_pos), (views, _minimum) in zip(kids, edges):
+            sources[e] = (ids[pos], views)
 
     # ROOTS: live root candidates sorted by (bs, repr) — a stable sort on
     # bs over indexes already in repr order.
@@ -184,89 +181,115 @@ def bind_program(
     root_keys = array("d", (root_bs[cand] for cand in root_cand))
 
     return BoundProgram(
-        program=program,
-        nodes=nodes,
-        slot_off=slot_off,
-        slot_keys=slot_keys,
-        slot_child=slot_child,
-        root_keys=root_keys,
-        root_cand=root_cand,
-        bind_seconds=time.perf_counter() - started,
+        program, ids, id_nodes, sources, root_keys, root_cand, time.perf_counter() - started
     )
+
+
+def _joined(views):
+    """One view of a head label's tables under distinct tail labels, whose
+    tails are disjoint: their columns concatenated in tail-id order (a
+    label's ids are one range), each table's head indexes and run
+    offsets shifted past the tables before it."""
+    if len(views) == 1:
+        return views[0]
+    heads, keys, childs, offsets, tails, lows = map(array, "qdqqqd")
+    offsets.append(0)
+    for view in sorted(views, key=lambda view: view[4][0]):
+        childs.extend(map(add, view[2], itertools.repeat(len(heads))))
+        offsets[-1:] = array("q", map(add, view[3], itertools.repeat(len(keys))))
+        for column, part in zip((heads, keys, tails, lows), (view[0], view[1], view[4], view[5])):
+            column.frombytes(memoryview(part).cast("B"))
+    return heads, keys, childs, offsets, tails, lows
 
 
 class BoundProgram:
-    """A program bound to one store snapshot: frozen flat arrays only."""
+    """A program bound to one store snapshot: live candidates, the root
+    slot and per-edge slot sources; slots are sorted on first touch."""
 
     __slots__ = (
-        "program",
-        "n",
-        "nodes",
-        "slot_off",
-        "slot_keys",
-        "slot_child",
-        "root_keys",
-        "root_cand",
+        "program", "n", "ids", "id_nodes", "sources", "slots", "root_keys", "root_cand",
         "bind_seconds",
     )
 
-    def __init__(
-        self,
-        *,
-        program: KernelProgram,
-        nodes,
-        slot_off,
-        slot_keys,
-        slot_child,
-        root_keys,
-        root_cand,
-        bind_seconds: float,
-    ) -> None:
+    def __init__(self, program, ids, id_nodes, sources, root_keys, root_cand, bind_seconds):
         self.program = program
         self.n = program.num_positions
-        self.nodes = nodes
-        self.slot_off = slot_off
-        self.slot_keys = slot_keys
-        self.slot_child = slot_child
+        self.ids = ids
+        self.id_nodes = id_nodes
+        self.sources = sources
+        self.slots = [[None] * len(parents) for parents, _views in sources]
         self.root_keys = root_keys
         self.root_cand = root_cand
         self.bind_seconds = bind_seconds
+
+    def slot(self, edge: int, pcand: int):
+        """``(keys, childs)`` of parent candidate ``pcand`` on ``edge``, in
+        ``(key, child index)`` order with dead children left out, sorted
+        the first time any run reads it: its runs in several head labels'
+        views merge here.  Racing first reads may both sort it; one
+        list-item store publishes it, with no lock."""
+        parents, views = self.sources[edge]
+        tail = parents[pcand]
+        rows: list = []
+        for tails, offsets, keys, childs, hbs, hidx in views:
+            j = bisect_left(tails, tail)
+            if j == len(tails) or tails[j] != tail:
+                continue
+            start, stop = offsets[j], offsets[j + 1]
+            run_keys, run = keys[start:stop], childs[start:stop]
+            if hbs is not None:
+                run_keys = map(add, map(hbs.__getitem__, run), run_keys)
+            elif hidx is None:  # a lone unweighted leaf table: sorted already
+                built = self.slots[edge][pcand] = run_keys, run
+                return built
+            rows += zip(run_keys, run if hidx is None else map(hidx.__getitem__, run))
+        rows.sort()
+        del rows[bisect_left(rows, _DEAD):bisect_right(rows, _DEAD)]
+        built = self.slots[edge][pcand] = tuple(zip(*rows))
+        return built
 
     def top1_score(self) -> float | None:
         """Score of the best match, or ``None`` when no match exists."""
         return self.root_keys[0] if len(self.root_keys) else None
 
     @property
+    def nodes(self) -> list[list]:
+        """Each position's live candidates as ``NodeId``s, in index order."""
+        return [list(map(self.id_nodes.__getitem__, pos_ids)) for pos_ids in self.ids]
+
+    @property
     def num_candidates(self) -> int:
-        return sum(len(vs) for vs in self.nodes)
+        return sum(len(pos_ids) for pos_ids in self.ids)
 
     @property
     def num_slot_entries(self) -> int:
-        return sum(len(keys) for keys in self.slot_keys)
+        """Rows the slots of all live parents hold, counted without
+        sorting a slot (tracing reads it; a run never does)."""
+        total = 0
+        for parents, views in self.sources:
+            for tails, offsets, _keys, childs, _hbs, hidx in views:
+                for tail in parents:
+                    j = bisect_left(tails, tail)
+                    if j < len(tails) and tails[j] == tail:
+                        run = childs[offsets[j]:offsets[j + 1]]
+                        total += len(run) if hidx is None else sum(hidx[c] >= 0 for c in run)
+        return total
 
     def run(self) -> "KernelRun":
-        """Start a fresh enumeration over the bound arrays (the PUSH op)."""
+        """Start a fresh enumeration over the bound slots (the PUSH op)."""
         return KernelRun(self)
 
 
 class _Ref:
-    """Compact candidate in array space: parent link + one replacement.
+    """Compact candidate in index space: parent link + one replacement.
 
     ``edge``/``pcand`` address the slot the replacement was drawn from:
-    ``edge == _ROOT_SLOT`` is the root slot, otherwise the CSR group of
-    parent candidate ``pcand`` on edge ``edge``.
+    ``edge == _ROOT_SLOT`` is the root slot, otherwise the slot of parent
+    candidate ``pcand`` on edge ``edge``.
     """
 
     __slots__ = (
-        "score",
-        "parent",
-        "div_pos",
-        "cand",
-        "rank",
-        "edge",
-        "pcand",
-        "round_heap",
-        "assign",
+        "score", "parent", "div_pos", "cand", "rank", "edge", "pcand", "round_heap", "assign",
     )
 
     def __init__(self, score, parent, div_pos, cand, rank, edge, pcand):
@@ -302,14 +325,6 @@ class KernelRun:
         self.results: list[Match] = []
 
     # ------------------------------------------------------------------
-    def _slot_bounds(self, edge: int, pcand: int) -> tuple[array, array, int, int]:
-        """(keys, childs, start, end) of the addressed slot slice."""
-        b = self._b
-        if edge == _ROOT_SLOT:
-            return b.root_keys, b.root_cand, 0, len(b.root_keys)
-        offsets = b.slot_off[edge]
-        return b.slot_keys[edge], b.slot_child[edge], offsets[pcand], offsets[pcand + 1]
-
     def top1_score(self) -> float | None:
         return self._b.top1_score()
 
@@ -344,19 +359,12 @@ class KernelRun:
         assign[ref.div_pos] = ref.cand
         stack = [ref.div_pos]
         child_edges = b.program.child_edges
-        slot_off = b.slot_off
-        slot_child = b.slot_child
+        slots = b.slots
         while stack:
             pos = stack.pop()
             cand = assign[pos]
-            for e, child_pos in child_edges[pos]:
-                start = slot_off[e][cand]
-                if start == slot_off[e][cand + 1]:
-                    raise MatchingError(
-                        f"no viable child on edge {e} of candidate {cand} "
-                        "during kernel materialization"
-                    )
-                assign[child_pos] = slot_child[e][start]
+            for e, child_pos in child_edges[pos]:  # a live parent's slot is never empty
+                assign[child_pos] = (slots[e][cand] or b.slot(e, cand))[1][0]
                 stack.append(child_pos)
         ref.assign = assign
         return assign
@@ -369,50 +377,33 @@ class KernelRun:
 
         # Case 1: next rank at the popped match's own slot.
         stats.case1_requests += 1
-        keys, childs, start, end = self._slot_bounds(ref.edge, ref.pcand)
-        nxt = start + ref.rank  # index of the (rank+1)-th entry
-        if nxt >= end:
+        if ref.edge == _ROOT_SLOT:
+            keys, childs = b.root_keys, b.root_cand
+        else:
+            keys, childs = b.slots[ref.edge][ref.pcand]  # sorted when ref was drawn
+        nxt = ref.rank  # index of the (rank+1)-th entry
+        if nxt >= len(keys):
             stats.empty_subspaces += 1
         else:
             new_score = ref.score + (keys[nxt] - keys[nxt - 1])
             candidates.append(
-                _Ref(
-                    new_score,
-                    ref,
-                    ref.div_pos,
-                    childs[nxt],
-                    ref.rank + 1,
-                    ref.edge,
-                    ref.pcand,
-                )
+                _Ref(new_score, ref, ref.div_pos, childs[nxt], nxt + 1, ref.edge, ref.pcand)
             )
 
         # Case 2: second-best sibling at every later BFS position.
         parent_pos = b.program.parent_pos
         edge_in = b.program.edge_in
-        slot_off = b.slot_off
+        slots = b.slots
         for pos in range(ref.div_pos + 1, b.n):
             edge = edge_in[pos]
             pcand = assign[parent_pos[pos]]
             stats.case2_requests += 1
-            offsets = slot_off[edge]
-            start = offsets[pcand]
-            if offsets[pcand + 1] - start < 2:
+            keys2, childs2 = slots[edge][pcand] or b.slot(edge, pcand)
+            if len(keys2) < 2:
                 stats.empty_subspaces += 1
                 continue
-            keys2 = b.slot_keys[edge]
-            new_score = ref.score + (keys2[start + 1] - keys2[start])
-            candidates.append(
-                _Ref(
-                    new_score,
-                    ref,
-                    pos,
-                    b.slot_child[edge][start + 1],
-                    2,
-                    edge,
-                    pcand,
-                )
-            )
+            new_score = ref.score + (keys2[1] - keys2[0])
+            candidates.append(_Ref(new_score, ref, pos, childs2[1], 2, edge, pcand))
 
         stats.candidates_generated += len(candidates)
         if not candidates:
@@ -439,10 +430,9 @@ class KernelRun:
         self._divide(ref)
         b = self._b
         match = Match(
-            assignment={
-                b.program.order[pos]: b.nodes[pos][assign[pos]]
-                for pos in range(b.n)
-            },
+            assignment=dict(
+                zip(b.program.order, map(b.id_nodes.__getitem__, map(getitem, b.ids, assign)))
+            ),
             score=score,
         )
         self.results.append(match)

@@ -14,21 +14,23 @@ The opcode set (see DESIGN.md "Compiled kernel tier"):
     wildcard / containment fan-out — the matcher expands one query label
     into several label ranges (or the whole alphabet for ``*``).
 ``PROBE``
-    closure-row probe — stream the ``L`` pair-table rows of one query
-    edge into flat (parent, child, distance) columns.
+    closure-row probe — read the ``L`` pair tables of one query edge as
+    their memoized tail-major views (per tail, its rows in distance
+    order).
 ``DIRECT``
     direct-child check — a ``/`` axis restricts the probed rows to
     closure entries realized by a direct data edge.  The check is pushed
     down into the probe's read (the store filters on its per-pair direct
     flags); the opcode marks the restriction in the listing.
 ``ACCUM``
-    score-accumulate — bottom-up ``bs`` scores plus per-(parent, child)
-    slot arrays sorted by ``(key, repr)`` (the interpreter's exact tie
-    order, frozen at bind time).
+    score-accumulate — bottom-up ``bs`` scores from each tail's minimum
+    of ``bs[head] + dist`` at bind time; each live parent's slot, sorted
+    by ``(key, repr)`` (the interpreter's exact tie order), the first
+    time the enumeration reads it.
 ``ROOTS``
     build the root slot from the surviving root candidates.
 ``PUSH``
-    top-k push — the Lawler enumeration loop over the bound arrays.
+    top-k push — the Lawler enumeration loop over the bound slots.
 
 A :class:`KernelProgram` is *store-independent*: it captures only query
 structure (BFS positions, parent/child edge tables, axes, labels), so a
@@ -52,11 +54,12 @@ from repro.query.compiler import CompiledQuery
 TIER_COMPILED = "compiled"
 TIER_INTERPRETED = "interpreted"
 
-#: Planner guard: the kernel fully loads its run-time graph, so plans
-#: whose estimated copy count exceeds this cap stay on the lazy
-#: interpreter (Topk-EN touches a sliver of a huge candidate space; a
-#: full load would not).  ``max(cap, config.full_load_threshold)`` is
-#: the effective bound.
+#: Planner guard: the kernel's bind reads every pair table of every
+#: edge, as a full load does (only slot sorting waits for the
+#: enumeration), so plans whose estimated copy count exceeds this cap
+#: stay on the lazy interpreter (Topk-EN touches a sliver of a huge
+#: candidate space; the bind's reads would not).
+#: ``max(cap, config.full_load_threshold)`` is the effective bound.
 KERNEL_LOAD_CAP = 4096
 
 #: The tree algorithms whose plans the compiled tier may replace.  The

@@ -71,7 +71,8 @@ class CompiledLabelMatcher(ContainmentMatcher):
 
     def data_labels_for(self, query_label, alphabet):
         if isinstance(query_label, ContainsLabel):
-            return [l for l in alphabet if self.matches(query_label, l)]
+            wanted = frozenset(query_label.tokens)
+            return [label for label in alphabet if wanted <= self._tokens(label)]
         return LabelMatcher.data_labels_for(self, query_label, alphabet)
 
 

@@ -98,10 +98,11 @@ class TestPairTables:
         assert decoded == sorted(store.read_pair_table("a", "c", True))
 
     @pytest.mark.parametrize("direct_only", (False, True))
-    @pytest.mark.parametrize("pair", (("c", "d"), ("a", "c"), ("d", "a")))
+    @pytest.mark.parametrize("pair", (("c", "d"), ("a", "c"), ("d", "a"), (None, "d"), ("a", None)))
     def test_leaf_slots_meter_the_pair_read_and_memoize(self, store, pair, direct_only):
         """``read_leaf_slots`` meters what ``read_pair_groups`` meters on
-        every call, and its rows are the groups dealt out per tail."""
+        every call, and its rows, one view per table, are the groups dealt
+        out per tail."""
         counter = store.counter
 
         def metered(read):
@@ -115,19 +116,22 @@ class TestPairTables:
         second, warm = metered(lambda: store.read_leaf_slots(*pair, direct_only))
         assert cold == warm == want
         assert first == second
-        heads, keys, childs, offsets, at = first
+        assert len(first) == want[2]
         rows = {
             (tail, head, dist)
             for head, tails, dists in groups
             for tail, dist in zip(tails, dists)
         }
         dealt = set()
-        for tail, j in at.items():
-            run = range(offsets[j], offsets[j + 1])
-            assert [(keys[r], childs[r]) for r in run] == sorted(
-                (keys[r], childs[r]) for r in run
-            )
-            dealt.update((tail, heads[childs[r]], keys[r]) for r in run)
+        for heads, keys, childs, offsets, tails, lows in first:
+            assert list(tails) == sorted(set(tails))
+            for j, tail in enumerate(tails):
+                run = range(offsets[j], offsets[j + 1])
+                assert [(keys[r], childs[r]) for r in run] == sorted(
+                    (keys[r], childs[r]) for r in run
+                )
+                assert lows[j] == min(keys[r] for r in run)
+                dealt.update((tail, heads[childs[r]], keys[r]) for r in run)
         assert dealt == rows
 
     def test_wildcard_tail(self, store):

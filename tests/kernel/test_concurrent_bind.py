@@ -1,18 +1,24 @@
-"""Concurrent first binds: racing leaf-memo builds give single-threaded results.
+"""Concurrent binds and runs give single-threaded results.
 
-CI also runs this file under ``REPRO_LOCKCHECK=1``.
+Two races: first binds on one engine build its pair tables' memoized
+views, and runs on one shared ``BoundProgram`` (the engine's binding
+cache hands one to every request) sort its slots on first touch.  Both
+publish without a lock.  CI also runs this file under
+``REPRO_LOCKCHECK=1``.
 """
 
+import sys
 import threading
 
 from repro.engine import MatchEngine
 from repro.graph.digraph import graph_from_edges
 from repro.graph.generators import citation_graph
 from repro.kernel import bind_program, compile_program
+from tests.kernel.test_executor import forced_slots
 
 THREADS = 8
 
-#: Queries whose leaf edges share (tail label, head label) tables under
+#: Queries whose edges share (tail label, head label) tables under
 #: different query nodes, plain and '/'.
 QUERIES = (
     "A//B",
@@ -32,51 +38,78 @@ def graph():
     return graph_from_edges(labels, base.edges())
 
 
+def bind(engine, query):
+    compiled = engine.compile(query)
+    return bind_program(
+        compile_program(compiled),
+        engine.store,
+        matcher=compiled.effective_matcher(engine.config.label_matcher),
+    )
+
+
+def top(bound, k=20):
+    return [(m.score, sorted(m.assignment.items())) for m in bound.run().top_k(k)]
+
+
 def bind_all(engine, offset=0):
-    """Bind every query once, starting at ``offset``: arrays + top 20."""
+    """Bind every query once, starting at ``offset``: every slot + top 20."""
     results = {}
     for i in range(len(QUERIES)):
         query = QUERIES[(offset + i) % len(QUERIES)]
-        compiled = engine.compile(query)
-        bound = bind_program(
-            compile_program(compiled),
-            engine.store,
-            matcher=compiled.effective_matcher(engine.config.label_matcher),
-        )
-        results[query] = (
-            bound.nodes,
-            [a.tolist() for a in bound.slot_off],
-            [a.tolist() for a in bound.slot_keys],
-            [a.tolist() for a in bound.slot_child],
-            bound.root_keys.tolist(),
-            bound.root_cand.tolist(),
-            [(m.score, sorted(m.assignment.items())) for m in bound.run().top_k(20)],
-        )
+        bound = bind(engine, query)
+        results[query] = (bound.nodes, top(bound), forced_slots(bound))
     return results
+
+
+def race(worker):
+    """Run ``worker(i)`` on ``THREADS`` threads released together, with
+    a short switch interval so they interleave inside slot sorts."""
+    barrier = threading.Barrier(THREADS)
+    got: list = [None] * THREADS
+    errors: list = []
+
+    def run(slot):
+        try:
+            barrier.wait()
+            got[slot] = worker(slot)
+        except BaseException as exc:  # surfaced below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(THREADS)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    return got
 
 
 def test_racing_first_binds_equal_the_single_threaded_bind():
     data = graph()
     want = bind_all(MatchEngine(data, backend="full"))
-    assert all(result[-1] for result in want.values()), "every query must match"
+    assert all(result[1] for result in want.values()), "every query must match"
 
     engine = MatchEngine(data, backend="full")
-    barrier = threading.Barrier(THREADS)
-    got: list = [None] * THREADS
-    errors: list = []
-
-    def worker(slot):
-        try:
-            barrier.wait()
-            got[slot] = bind_all(engine, offset=slot)
-        except BaseException as exc:  # surfaced below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(THREADS)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    assert not errors
-    for result in got:
+    for result in race(lambda slot: bind_all(engine, offset=slot)):
         assert result == want
+
+
+def test_racing_runs_on_one_bound_program_equal_the_single_threaded_run():
+    """Eight threads enumerate one shared, untouched ``BoundProgram``:
+    racing first reads of a slot may both sort it, and every run still
+    returns the single-threaded answer."""
+    data = graph()
+    reference = MatchEngine(data, backend="full")
+    engine = MatchEngine(data, backend="full")
+    for query in QUERIES:
+        want = top(bind(reference, query), 50)
+        assert want, query
+        shared = bind(engine, query)
+        for result in race(lambda _slot: top(shared, 50)):
+            assert result == want, query
+        assert forced_slots(shared) == forced_slots(bind(reference, query))

@@ -4,6 +4,7 @@ import gc
 
 import pytest
 
+from repro.core.topk import TopkEnumerator
 from repro.engine import MatchEngine
 from repro.graph.digraph import graph_from_edges
 from repro.graph.generators import citation_graph
@@ -159,16 +160,44 @@ def containment_graph():
     return graph_from_edges(labels, base.edges())
 
 
-def bound_arrays(bound):
-    """Everything a bind freezes, as comparable values."""
-    return (
-        bound.nodes,
-        [(a.typecode, a.tolist()) for a in bound.slot_off],
-        [(a.typecode, a.tolist()) for a in bound.slot_keys],
-        [(a.typecode, a.tolist()) for a in bound.slot_child],
-        bound.root_keys.tolist(),
-        bound.root_cand.tolist(),
-    )
+def forced_slots(bound):
+    """Every live parent's slot on every edge, each forced through the
+    lazy path, as ``{parent: [(key, child)]}`` per edge; then the root
+    slot as ``[(key, root)]``."""
+    nodes = bound.nodes
+    edges = [
+        {
+            parent: [(key, nodes[child_pos][child]) for key, child in zip(*bound.slot(e, pcand))]
+            for pcand, parent in enumerate(nodes[parent_pos])
+        }
+        for e, (parent_pos, child_pos, _direct) in enumerate(bound.program.edge_specs)
+    ]
+    roots = [(key, nodes[0][cand]) for key, cand in zip(bound.root_keys, bound.root_cand)]
+    return edges, roots
+
+
+def reference_slots(engine, compiled, node_weight=None):
+    """:func:`forced_slots` from the interpreter: ``TopkEnumerator``'s
+    slots over the unpruned ``build_runtime_graph``, in ``(key, repr)``
+    order, for every candidate with a ``bs`` score."""
+    matcher = compiled.effective_matcher(engine.config.label_matcher)
+    gr = build_runtime_graph(engine.store, compiled.tree, matcher, prune=False)
+    topk = TopkEnumerator(gr, node_weight=node_weight)
+
+    def ordered(slot):
+        return [(key, node) for key, (_qnode, node) in map(slot.ith, range(1, len(slot) + 1))]
+
+    program = compile_program(compiled)
+    order = program.order
+    edges = [
+        {
+            v: ordered(topk._slots[(order[parent_pos], v, order[child_pos])])
+            for u, v in topk._bs
+            if u == order[parent_pos]
+        }
+        for parent_pos, child_pos, _direct in program.edge_specs
+    ]
+    return edges, ordered(topk._root_slot)
 
 
 def leaf_memos(store):
@@ -198,9 +227,9 @@ class TestClosureReads:
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("query", sorted(QUERIES))
     def test_bind_reads_what_the_runtime_graph_load_reads(self, backend, query):
-        """A cold bind, a warm bind (leaf memo hit) and a bind whose leaf
+        """A cold bind, a warm bind (memo hit) and a bind whose table
         views another query built all meter what ``build_runtime_graph``
-        meters and freeze identical arrays."""
+        meters and give identical slots; sorting them reads nothing."""
 
         def reads(engine, load):
             counter = engine.store.counter
@@ -217,7 +246,9 @@ class TestClosureReads:
             )
             bound, read = reads(engine, lambda: kernel_bind(engine, compiled))
             assert read == loaded
-            return bound_arrays(bound), loaded
+            slots, lazy = reads(engine, lambda: forced_slots(bound))
+            assert lazy == (0, 0, 0)
+            return slots, loaded
 
         engine = MatchEngine(containment_graph(), backend=backend)
         cold, loaded = load_and_bind(engine, query)
@@ -230,11 +261,77 @@ class TestClosureReads:
         if backend == "full":
             assert loaded[0] > 0 and loaded[1] > 0
         memos = leaf_memos(engine.store) + leaf_memos(other.store)
-        if backend == "full" and "~" not in query and "*" not in query:
-            assert memos, "single-pair leaf edges must memoize"
+        if backend == "full":
+            assert memos, "every edge reads its tables through the memo"
         gc.collect()
         for view in memos:
             assert not any(gc.is_tracked(member) for member in view)
+
+
+class TestLazySlots:
+    """Slots sorted on first touch equal the interpreter's, entry for entry."""
+
+    @staticmethod
+    def assert_three_binds(graph, backend, query, node_weight=None):
+        """Cold bind, memo hit and fresh engine: every slot, forced, is the
+        ``(key, repr)``-ordered slot of ``build_runtime_graph``."""
+        engine = MatchEngine(graph, backend=backend, node_weight=node_weight)
+        compiled = engine.compile(query)
+        want = reference_slots(engine, compiled, node_weight)
+        assert want[1], "the query must match"
+        fresh = MatchEngine(graph, backend=backend, node_weight=node_weight)
+        for target in (engine, engine, fresh):
+            bound = kernel_bind(target, target.compile(query), node_weight=node_weight)
+            assert forced_slots(bound) == want, (backend, query)
+
+    @pytest.mark.parametrize("family", sorted(NON_INTEGER_IDS) + ["integers"])
+    @pytest.mark.parametrize(
+        "query", [q for q in QUERIES if "/" in q] + ["C//A//B", "B//A", "C//*//B"]
+    )
+    def test_slots_keep_the_tie_order_of_non_integer_ids(self, family, query):
+        ids = NON_INTEGER_IDS.get(family, range(9))
+        self.assert_three_binds(tie_graph(ids), "full", query)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("query", sorted(TestClosureReads.QUERIES.values()) + ["{V1+y}//*"])
+    def test_multi_pair_edges_on_every_backend(self, backend, query):
+        """Containment roots, wildcard heads with runs in several tables
+        and weighted internal edges compose their per-table views."""
+        self.assert_three_binds(containment_graph(), backend, query)
+        self.assert_three_binds(
+            containment_graph(), backend, query, node_weight=lambda node: float(node % 3)
+        )
+
+    #: Rows all live parents' slots hold on ``containment_graph()``: the
+    #: ``kernel.bind.slot_entries`` of a bind that sorts every slot.
+    SLOT_ENTRIES = {
+        "{V0+x}//{V1+y}[{V2+x}]": 71,
+        "{V0+x}//*[{V3+y}]": 747,
+        "~V1//~V2[~x]": 370,
+        "{V0+x}/{V1+y}//{V2+x}": 32,
+        "{V3+y}//~V1//~V2[~x]": 399,
+        "{V1+y}//*": 176,
+        "~x//{V1+y}": 94,
+    }
+
+    @pytest.mark.parametrize("backend", ("full", "ondemand"))
+    @pytest.mark.parametrize("query", sorted(SLOT_ENTRIES))
+    def test_slot_entries_count_what_a_full_bind_holds(self, backend, query):
+        """``num_slot_entries`` counts every live parent's rows without
+        sorting a slot, and equals the forced slots' size."""
+        engine = MatchEngine(containment_graph(), backend=backend)
+        bound = kernel_bind(engine, engine.compile(query))
+        assert bound.num_slot_entries == self.SLOT_ENTRIES[query]
+        assert all(slot is None for slots in bound.slots for slot in slots)
+        edges, _roots = forced_slots(bound)
+        assert sum(len(slot) for edge in edges for slot in edge.values()) == self.SLOT_ENTRIES[query]
+
+    def test_a_run_sorts_only_the_slots_it_reads(self):
+        engine = MatchEngine(containment_graph(), backend="full")
+        bound = kernel_bind(engine, engine.compile("{V3+y}//~V1//~V2[~x]"))
+        bound.run().top_k(1)
+        touched = sum(slot is not None for slots in bound.slots for slot in slots)
+        assert 0 < touched < sum(map(len, bound.slots))
 
 
 class TestRunProtocol:

@@ -29,14 +29,14 @@ from __future__ import annotations
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.devtools import lockcheck
 from repro.engine import MatchEngine
 from repro.query import to_dsl
 from repro.service import MatchService
-from tests.strategies import FUZZ_EXAMPLES, graph_and_query
+from tests.strategies import FUZZ_EXAMPLES, graph_and_query, graphs
 
 
 @pytest.fixture(autouse=True, scope="module")
@@ -545,6 +545,69 @@ def test_compiled_kernel_containment_weighted_bit_identical(instance, k, data):
             )
             for bound, _ in _three_binds(graph, backend, compiled, engine, **options):
                 assert exact(bound.run().top_k(k)) == reference, (backend, query)
+
+
+#: Two-token labels: ``~x`` or ``~A`` matches several of them, so one
+#: query edge reads several pair tables.
+TOKEN_LABELS = ("A+x", "A+y", "B+x", "B+y", "C+x")
+
+
+@given(
+    graph=st.one_of(
+        graphs(alphabet=TOKEN_LABELS),
+        graphs(alphabet=TOKEN_LABELS, weighted=True, max_weight=3),
+    ),
+    k=st.integers(1, 10),
+    data=st.data(),
+)
+@fuzz_settings
+def test_compiled_kernel_multi_pair_edges_bit_identical(graph, k, data):
+    """Edges over several pair tables and node-weighted internal edges.
+
+    A containment root over a multi-label alphabet, a wildcard head
+    ``X//*`` whose tails have runs in several tables, and internal edges
+    under node weights: each bind (cold, memo hit, fresh engine) meters
+    what the interpreter's load meters, forces every live parent's slot
+    equal to the interpreter's ``(key, repr)``-ordered slot, and
+    enumerates the interpreter's matches byte for byte.
+    """
+    from tests.kernel.test_executor import forced_slots, reference_slots
+
+    # Labels along a drawn walk u -> v -> w, so that most queries match.
+    starts = sorted(node for node in graph.nodes() if graph.out_degree(node))
+    assume(starts)
+    u = data.draw(st.sampled_from(starts))
+    v = data.draw(st.sampled_from(sorted(graph.successors(u))))
+    w = data.draw(st.sampled_from(sorted(graph.successors(v) or graph.successors(u))))
+    a, b, c = (f"{{{graph.label(node)}}}" for node in (u, v, w))
+    token = data.draw(st.sampled_from(graph.label(u).split("+")))
+    query = data.draw(
+        st.sampled_from(
+            (
+                f"~{token}//{b}[{c}]",  # containment root
+                f"~{token}/{b}",
+                f"{a}//*",  # wildcard head into a leaf
+                f"{a}//*[{c}]",  # wildcard head into an internal node
+                f"~{token}//*//{c}",
+                f"{a}//{b}//{c}",  # an internal edge, weighted when drawn
+            )
+        )
+    )
+    options = (
+        {"node_weight": lambda node: float(node % 3)} if data.draw(st.booleans()) else {}
+    )
+    backend = data.draw(st.sampled_from(BACKENDS))
+    engine = MatchEngine(graph, backend=backend, **options)
+    compiled = engine.compile(query)
+    enumerator, loaded = _closure_reads(
+        engine.store.counter, lambda: engine._build_enumerator(compiled, "topk")
+    )
+    reference = exact(enumerator.top_k(k))
+    slots = reference_slots(engine, compiled, engine.config.node_weight)
+    for bound, read in _three_binds(graph, backend, compiled, engine, **options):
+        assert read == loaded, (backend, query)
+        assert forced_slots(bound) == slots, (backend, query)
+        assert exact(bound.run().top_k(k)) == reference, (backend, query)
 
 
 @given(
