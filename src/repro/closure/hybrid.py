@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.closure.ondemand import OnDemandStore
 from repro.closure.pll import PrunedLandmarkIndex
-from repro.closure.store import ClosureStore
+from repro.closure.store import ClosureStore, compose_edge_views
 from repro.closure.transitive import TransitiveClosure
 from repro.exceptions import ClosureError
 from repro.graph.digraph import Label, LabeledDiGraph, NodeId
@@ -170,6 +170,16 @@ class HybridStore:
         return self._side(tail_label, head_label).read_leaf_slots(
             tail_label, head_label, direct_only
         )
+
+    def read_edge_views(
+        self,
+        tail_labels: tuple[Label, ...] | None,
+        head_labels: tuple[Label, ...] | None,
+        direct_only: bool = False,
+    ) -> tuple[list, bool]:
+        """One query edge's views, each label pair from its own side,
+        composed per call."""
+        return compose_edge_views(self, tail_labels, head_labels, direct_only)
 
     def read_pair_table(
         self,

@@ -36,7 +36,7 @@ from itertools import compress
 from typing import Iterator, Sequence
 
 from repro.closure.pll import PrunedLandmarkIndex
-from repro.closure.store import decode_pair_groups
+from repro.closure.store import compose_edge_views, decode_pair_groups
 from repro.compact import CompactGraph, NodeInterner
 from repro.compact.tailmajor import leaf_slots
 from repro.graph.digraph import Label, LabeledDiGraph, NodeId
@@ -219,6 +219,16 @@ class OnDemandStore:
         :meth:`repro.closure.store.ClosureStore.read_leaf_slots`)."""
         groups = self.read_pair_groups(tail_label, head_label, direct_only)
         return [leaf_slots(groups, self._interner.repr_rank())]
+
+    def read_edge_views(
+        self,
+        tail_labels: tuple[Label, ...] | None,
+        head_labels: tuple[Label, ...] | None,
+        direct_only: bool = False,
+    ) -> tuple[list, bool]:
+        """One query edge's views, composed per call (see
+        :meth:`repro.closure.store.ClosureStore.read_edge_views`)."""
+        return compose_edge_views(self, tail_labels, head_labels, direct_only)
 
     def read_pair_table(
         self,

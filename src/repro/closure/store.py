@@ -40,7 +40,7 @@ from typing import Iterator, Sequence
 
 from repro.closure.transitive import TransitiveClosure
 from repro.compact import NodeInterner, buffer_bytes
-from repro.compact.tailmajor import leaf_slots, pack, unpack
+from repro.compact.tailmajor import compose, leaf_slots, pack, unpack
 from repro.exceptions import ClosureError
 from repro.graph.digraph import Label, LabeledDiGraph, NodeId
 from repro.storage.blocks import (
@@ -75,6 +75,24 @@ def decode_pair_groups(
         head = nodes[head_id]
         for tail_id, dist in zip(tails, dists):
             yield nodes[tail_id], head, dist
+
+
+def _or_wildcard(labels):
+    """A query edge side's labels to read: ``(None,)`` for a wildcard."""
+    return (None,) if labels is None else labels
+
+
+def compose_edge_views(store, tail_labels, head_labels, direct_only: bool) -> tuple[list, bool]:
+    """:meth:`ClosureStore.read_edge_views` without its memo, for stores
+    that assemble views per call: ``store.read_leaf_slots`` of every
+    label pair of the edge, composed."""
+    views = [
+        view
+        for tail in _or_wildcard(tail_labels)
+        for head in _or_wildcard(head_labels)
+        for view in store.read_leaf_slots(tail, head, direct_only)
+    ]
+    return compose(views, store.interner.label_of)
 
 
 class _PairTable:
@@ -167,18 +185,18 @@ class _PairTable:
             if run:
                 yield heads[j], run, list(compress(dists[start:stop], keep))
 
-    def leaf_slots(self, rank, direct_only: bool):
-        """The table's memoized tail-major view (see
-        :func:`repro.compact.tailmajor.leaf_slots`), as read-only views of
-        its packed memo (``array`` objects are GC-tracked).  The table
-        never changes, so the memo never goes stale; racing first calls
-        may build it twice, and one attribute store publishes it."""
+    def leaf_memo(self, rank, direct_only: bool) -> tuple:
+        """The table's tail-major view (see
+        :func:`repro.compact.tailmajor.leaf_slots`), :func:`pack`-ed
+        (``array`` objects are GC-tracked) and memoized.  The table never
+        changes, so the memo never goes stale; racing first calls may
+        build it twice, and one attribute store publishes it."""
         name = "_leaf_direct" if direct_only else "_leaf"
         packed = getattr(self, name)
         if packed is None:
             packed = pack(leaf_slots(self.groups(direct_only), rank))
             setattr(self, name, packed)
-        return unpack(packed)
+        return packed
 
     def group_bounds(self, head_id: int) -> tuple[int, int] | None:
         """The ``[start, stop)`` run of ``head_id``'s group, or ``None``."""
@@ -221,6 +239,8 @@ class ClosureStore:
         self._pair_tables: dict[tuple[Label, Label], _PairTable] = {}
         # head id -> set of tail labels with a non-empty group.
         self._tail_labels_of: dict[int, set[Label]] = {}
+        # (tail labels, head labels, direct_only) -> composed edge views.
+        self._edge_views: dict = {}
 
         self._build()
 
@@ -262,6 +282,7 @@ class ClosureStore:
         self.counter = self.directory.counter
         self._pair_tables = dict(pair_tables)
         self._tail_labels_of = {}
+        self._edge_views = {}
         for (alpha, _beta), table in self._pair_tables.items():
             for head_id in table.heads:
                 self._tail_labels_of.setdefault(head_id, set()).add(alpha)
@@ -482,8 +503,53 @@ class ClosureStore:
             table = self._pair_tables[pair]
             self.counter.record_open()
             self.counter.record_read(table.num_entries, table.num_blocks(block_size))
-            views.append(table.leaf_slots(rank, direct_only))
+            views.append(unpack(table.leaf_memo(rank, direct_only)))
         return views
+
+    def read_edge_views(
+        self,
+        tail_labels: tuple[Label, ...] | None,
+        head_labels: tuple[Label, ...] | None,
+        direct_only: bool = False,
+    ) -> tuple[list, bool]:
+        """The tables of every ``(tail label, head label)`` pair of one
+        query edge as :func:`repro.compact.tailmajor.compose`-d views:
+        ``(views, lone)``, one view per head label.  Each side is the
+        tuple of data labels a query label expands to, or ``None`` for a
+        wildcard.  Metered as :meth:`read_leaf_slots` of every pair,
+        memo hit or not.  The composed views are memoized per
+        ``(tail_labels, head_labels, direct_only)`` (tables never change,
+        so the memo never goes stale): a head label read from one table
+        shares that table's :meth:`_PairTable.leaf_memo`, one read from
+        several keeps one packed joined copy.  Racing first calls may
+        compose twice; one dict store publishes it."""
+        key = (tail_labels, head_labels, direct_only)
+        memo = self._edge_views.get(key)
+        if memo is None:
+            tables = tuple(
+                self._pair_tables[pair]
+                for tail in _or_wildcard(tail_labels)
+                for head in _or_wildcard(head_labels)
+                for pair in self._pairs_matching(tail, head)
+            )
+            rank = self._interner.repr_rank()
+            packs = [table.leaf_memo(rank, direct_only) for table in tables]
+            views = list(map(unpack, packs))
+            groups, lone = compose(views, self._interner.label_of)
+            shared = {id(view): packed for view, packed in zip(views, packs)}
+            block_size = self.directory.block_size
+            memo = (
+                tuple(shared.get(id(view)) or pack(view) for view in groups),
+                lone,
+                len(tables),
+                sum(table.num_entries for table in tables),
+                sum(table.num_blocks(block_size) for table in tables),
+            )
+            self._edge_views[key] = memo
+        packed, lone, opens, entries, blocks = memo
+        self.counter.record_open(opens)
+        self.counter.record_read(entries, blocks)
+        return list(map(unpack, packed)), lone
 
     def read_pair_table(
         self,

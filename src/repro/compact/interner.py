@@ -14,7 +14,8 @@ the nodes of each label are ordered by ``repr`` within it, so
 :meth:`NodeInterner.repr_rank` ranks ids in ``(repr(node) + ")", id)``
 order, the ``repr((qnode, node))`` tie order of run-time-graph slots for
 any fixed ``qnode``.  It departs from id order on ``repr`` prefixes:
-``"n!)" < "n)"``.
+``"n!)" < "n)"``.  :meth:`NodeInterner.data_labels` expands a query
+label over the id-ordered alphabet once per label matcher.
 
 The mapping is a pure function of the node/label universe: two
 interners built from equal graphs are identical, which is what lets
@@ -32,11 +33,19 @@ from repro.exceptions import GraphError
 from repro.graph.digraph import Label, LabeledDiGraph, NodeId
 
 
+#: Expansions one interner memoizes before it starts over (query labels
+#: are open-ended; an alphabet's matchers and hot labels are few).
+EXPANSION_LIMIT = 4096
+
+
 class NodeInterner:
     """Stable, label-sorted ``NodeId <-> int`` mapping, with a lazily
-    computed tie-order rank of its ids (:meth:`repr_rank`)."""
+    computed tie-order rank of its ids (:meth:`repr_rank`) and memoized
+    label expansions (:meth:`data_labels`)."""
 
-    __slots__ = ("_nodes", "_ids", "_ranges", "_starts", "_range_labels", "_rank")
+    __slots__ = (
+        "_nodes", "_ids", "_ranges", "_starts", "_range_labels", "_rank", "_expansions",
+    )
 
     def __init__(self, labeled_nodes: Mapping[NodeId, Label]) -> None:
         by_label: dict[Label, list[NodeId]] = {}
@@ -59,6 +68,7 @@ class NodeInterner:
             node: i for i, node in enumerate(self._nodes)
         }
         self._rank: array | None = None
+        self._expansions: dict = {}
 
     @classmethod
     def from_graph(cls, graph: LabeledDiGraph) -> "NodeInterner":
@@ -83,6 +93,7 @@ class NodeInterner:
         self._nodes = tuple(nodes)
         self._ids = {node: i for i, node in enumerate(self._nodes)}
         self._rank = None
+        self._expansions = {}
         self._ranges = {}
         self._starts = []
         self._range_labels = []
@@ -155,6 +166,25 @@ class NodeInterner:
     def labels(self) -> tuple[Label, ...]:
         """All labels, in id-range order."""
         return tuple(self._range_labels)
+
+    def data_labels(self, matcher, query_label) -> tuple[Label, ...] | None:
+        """``matcher.data_labels_for(query_label, labels())`` as a tuple in
+        id-range order (``None``: every label), computed once per
+        ``(matcher, query_label)``: the alphabet never changes, so the
+        kernel bind and the planner share one expansion.  Racing first
+        calls may expand twice; one dict store publishes it."""
+        key = (matcher, query_label)
+        expansions = self._expansions
+        found = expansions.get(key, expansions)
+        if found is not expansions:
+            return found
+        data_labels = matcher.data_labels_for(query_label, self.labels())
+        if data_labels is not None:
+            data_labels = tuple(data_labels)
+        if len(expansions) >= EXPANSION_LIMIT:
+            expansions.clear()
+        expansions[key] = data_labels
+        return data_labels
 
     def label_ranges(self) -> Iterator[tuple[Label, range]]:
         """Iterate ``(label, id_range)`` in id order."""

@@ -12,13 +12,18 @@ with tails in id order (so a tail is found by bisection), and
 and dealt to tails by one stable sort on the key, without a tuple per
 row.  :func:`pack` turns a view into one ``bytes`` object and a few
 ints, which the garbage collector does not track.
+
+An edge whose query labels expand to several data labels reads several
+tables; :func:`compose` groups their views per head label and joins
+each group into one view (:func:`join`), which is what the bind reads.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate
-from typing import Iterable, Sequence
+from itertools import accumulate, repeat
+from operator import add
+from typing import Callable, Iterable, Sequence
 
 
 def leaf_slots(groups: Iterable[tuple[int, Sequence[int], Sequence[float]]], rank: Sequence[int]):
@@ -73,3 +78,39 @@ def unpack(packed: tuple):
         view[:a].cast("q"), view[a:b].cast("d"), view[b:c].cast("q"),
         view[c:d].cast("q"), view[d:e].cast("q"), view[e:].cast("d"),
     )
+
+
+def join(views):
+    """One view of a head label's tables under distinct tail labels, whose
+    tails are disjoint: their columns concatenated in tail-id order (a
+    label's ids are one range), each table's head indexes and run
+    offsets shifted past the tables before it.  A lone view is returned
+    as it is."""
+    if len(views) == 1:
+        return views[0]
+    heads, keys, childs, offsets, tails, lows = map(array, "qdqqqd")
+    offsets.append(0)
+    for view in sorted(views, key=lambda view: view[4][0]):
+        childs.extend(map(add, view[2], repeat(len(heads))))
+        offsets[-1:] = array("q", map(add, view[3], repeat(len(keys))))
+        for column, part in zip((heads, keys, tails, lows), (view[0], view[1], view[4], view[5])):
+            column.frombytes(memoryview(part).cast("B"))
+    return heads, keys, childs, offsets, tails, lows
+
+
+def compose(views: Iterable, label_of: Callable[[int], object]) -> tuple[list, bool]:
+    """The views one query edge reads, composed: ``(groups, lone)``.
+
+    Empty views are dropped; the rest are grouped by the label of their
+    first head and each group is :func:`join`-ed, so a tail's rows under
+    one head label sit in one run; across head labels its runs merge when
+    its slot is sorted.  Groups are ordered by first head id, which is
+    head-label order, whatever order the tables were read in.  ``lone``
+    is true when exactly one table had rows: its heads are then exactly
+    the edge's children, in rank order."""
+    views = [view for view in views if len(view[0])]
+    by_label: dict = {}
+    for view in views:
+        by_label.setdefault(label_of(view[0][0]), []).append(view)
+    groups = sorted(map(join, by_label.values()), key=lambda view: view[0][0])
+    return groups, len(views) == 1

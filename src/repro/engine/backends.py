@@ -430,11 +430,11 @@ class ConstrainedBackend(_BackendBase):
         """
         if self.covered_labels is None:
             return True
-        alphabet = self._store.graph.labels()
+        expand = self._store.interner.data_labels
         for u in query.nodes():
             if query.is_leaf(u):
                 continue
-            data_labels = matcher.data_labels_for(query.label(u), alphabet)
+            data_labels = expand(matcher, query.label(u))
             if data_labels is None:
                 return False
             if not set(data_labels) <= self.covered_labels:

@@ -114,7 +114,10 @@ class MatchEngine:
             self._backend = _backend
         else:
             self._backend = build_backend(graph, config, backend_name)
-        self.planner = Planner(graph, config, backend_name, backend_reasons)
+        self.planner = Planner(
+            graph, config, backend_name, backend_reasons,
+            expand=self._backend.store.interner.data_labels,
+        )
         # Cyclic (kGPM) queries need a bidirected closure independent of
         # the tree backend; built lazily on the first cyclic query.  The
         # KGPMEngine instances are cached too (keyed by tree algorithm
@@ -322,11 +325,22 @@ class MatchEngine:
         except KernelUnsupported:
             return None
 
+    def _bind(self, compiled: CompiledQuery, program: KernelProgram):
+        """Bind ``program`` to this engine's store, uncached."""
+        return bind_program(
+            program,
+            self._backend.store,
+            matcher=compiled.effective_matcher(self.config.label_matcher),
+            node_weight=self.config.node_weight,
+        )
+
     def _bound_program(self, compiled: CompiledQuery, program: KernelProgram):
         """Bind ``program`` to this engine's store, LRU-cached.
 
         Keyed by program identity; the cached value keeps the program
-        alive, so identity keys cannot alias.
+        alive, so identity keys cannot alias.  Only callers that hold
+        their program (prepared queries, the service plan cache) come
+        here: a program lowered for one call could never hit.
         """
         with self._kernel_lock:
             bound = self._kernel_bindings.get(program)
@@ -335,12 +349,7 @@ class MatchEngine:
                 return bound
         # Bind outside the lock: racing first binds are idempotent and a
         # bind dwarfs the duplicated work's lock-hold time.
-        bound = bind_program(
-            program,
-            self._backend.store,
-            matcher=compiled.effective_matcher(self.config.label_matcher),
-            node_weight=self.config.node_weight,
-        )
+        bound = self._bind(compiled, program)
         with self._kernel_lock:
             self._kernel_bindings[program] = bound
             self._kernel_bindings.move_to_end(program)
@@ -360,13 +369,15 @@ class MatchEngine:
         the compiled tier (re-checking the kill switch and falling back
         to the interpreter on :class:`KernelUnsupported`), else the
         interpreter enumerator.  Both expose the same protocol
-        (``top_k``/``stream``/``results``/``stats``).
+        (``top_k``/``stream``/``results``/``stats``).  Without a held
+        ``program`` the one lowered here is bound outside the binding
+        cache, whose identity keys it could never hit again.
         """
         if plan.tier == TIER_COMPILED and kernel_enabled():
             self._check_workload(compiled)
             try:
                 if program is None:
-                    program = compile_program(compiled)
+                    return self._bind(compiled, compile_program(compiled)).run()
                 return self._bound_program(compiled, program).run()
             except KernelUnsupported:
                 pass

@@ -166,8 +166,13 @@ class Planner:
         config: EngineConfig,
         backend_name: str,
         backend_reasons: tuple[str, ...] = (),
+        *,
+        expand,
     ) -> None:
         self.graph = graph
+        # (matcher, query label) -> data labels (None: all), shared with
+        # the kernel bind: the backend store's NodeInterner.data_labels.
+        self._expand = expand
         self.config = config
         self.backend_name = backend_name
         self.backend_reasons = tuple(backend_reasons)
@@ -176,7 +181,6 @@ class Planner:
         # cache misses) re-asks the same labels.  Dict reads/writes are
         # atomic under the GIL; a race at worst duplicates a count.
         self._label_counts: dict = {}
-        self._alphabet: set | None = None
 
     def _count_for_labels(self, labels) -> int:
         total = 0
@@ -208,9 +212,6 @@ class Planner:
         compiled = compile_query(query)
         matcher = compiled.effective_matcher(self.config.label_matcher)
         graph = self.graph
-        if self._alphabet is None:
-            self._alphabet = graph.labels()
-        alphabet = self._alphabet
         if compiled.is_cyclic:
             pattern = compiled.pattern
             nodes = list(pattern.nodes())
@@ -220,7 +221,7 @@ class Planner:
             label_of = compiled.tree.label
         out = []
         for u in nodes:
-            labels = matcher.data_labels_for(label_of(u), alphabet)
+            labels = self._expand(matcher, label_of(u))
             if labels is None:
                 count = graph.num_nodes
             else:

@@ -1,12 +1,15 @@
 """Bind + execute kernel programs: eager minimums, slots sorted on demand.
 
 :func:`bind_program` runs a :class:`~repro.kernel.program.KernelProgram`
-against a closure store.  Its eager part walks BFS positions bottom-up:
-per query edge, PROBE (with the pushed-down DIRECT filter) reads the
-memoized tail-major view of each expanded pair table
-(``read_leaf_slots``, :mod:`repro.compact.tailmajor`), and ACCUM takes
-each tail's minimum of ``bs[head] + dist`` in C-level ``map``/``min``
-passes over a per-head ``bs`` vector (``inf`` for dead heads).  A parent
+against a closure store.  SCAN/FANOUT take each position's data labels
+from the interner's memoized expansion (``NodeInterner.data_labels``).
+The eager part walks BFS positions bottom-up: per query edge, PROBE
+(with the pushed-down DIRECT filter) reads the edge's tail-major views,
+one per head label, composed from every expanded pair table and
+memoized per label-set pair and axis (``read_edge_views``,
+:mod:`repro.compact.tailmajor`), and ACCUM takes each tail's minimum of
+``bs[head] + dist`` in C-level ``map``/``min`` passes over a per-head
+``bs`` vector (``inf`` for dead heads).  A parent
 lives when every child edge gives it a finite total; ROOTS sorts the
 live roots.  The lazy part is each live parent's slot, sorted on ``(key,
 child index)`` the first time a :class:`KernelRun` (PUSH: the Lawler
@@ -64,7 +67,7 @@ def bind_program(program: KernelProgram, store, *, matcher, node_weight=None) ->
     ``matcher`` is the label matcher of the compiled query
     (``compiled.effective_matcher(config.label_matcher)``);
     ``node_weight`` the optional per-node weight callable.  ``store`` is
-    any closure store with ``read_leaf_slots`` and ``interner``.
+    any closure store with ``read_edge_views`` and ``interner``.
 
     The bound result is store-snapshot-specific but reusable: every
     :meth:`BoundProgram.run` call starts an independent enumeration over
@@ -72,16 +75,13 @@ def bind_program(program: KernelProgram, store, *, matcher, node_weight=None) ->
     warm repeated serving queries cheap.
     """
     started = time.perf_counter()
-    alphabet = store.graph.labels()
     interner = store.interner
     id_nodes = interner.nodes()
     rank = interner.repr_rank()
     n = program.num_positions
-    # SCAN / FANOUT: each position's data labels, expanded once.
-    labels = []
-    for label in program.labels:
-        data_labels = matcher.data_labels_for(label, alphabet)
-        labels.append([None] if data_labels is None else data_labels)
+    # SCAN / FANOUT: each position's data labels (None: all), expanded
+    # once per interner.
+    labels = [interner.data_labels(matcher, label) for label in program.labels]
 
     def weight(node_id: int) -> float:
         return float(node_weight(id_nodes[node_id]))
@@ -99,21 +99,9 @@ def bind_program(program: KernelProgram, store, *, matcher, node_weight=None) ->
         dead (``None``: all ``0.0``), ``hidx`` to its child index, ``-1``
         when dead (``None``: the view's own head order).  A leaf settles
         here, as every head the edge reaches."""
-        views = [
-            view
-            for tail in labels[parent_pos]
-            for head in labels[child_pos]
-            for view in store.read_leaf_slots(tail, head, direct)
-            if len(view[0])
-        ]
-        lone = len(views) == 1  # one table: its heads are exactly the children
-        # One head label's tables under distinct tail labels hold disjoint
-        # tails and join into one view; across head labels a tail's runs
-        # merge when its slot is sorted.
-        by_label: dict = {}
-        for view in views:
-            by_label.setdefault(interner.label_of(view[0][0]), []).append(view)
-        views = [_joined(tables) for tables in by_label.values()]
+        # One view per head label; lone: one table, whose heads are
+        # exactly the children.
+        views, lone = store.read_edge_views(labels[parent_pos], labels[child_pos], direct)
         leaf = not program.child_edges[child_pos]
         if leaf:
             ids[child_pos] = (
@@ -153,7 +141,7 @@ def bind_program(program: KernelProgram, store, *, matcher, node_weight=None) ->
         kids = program.child_edges[pos]
         if not kids:
             if n == 1:  # single-node query: every label match is a root
-                ranges = [range(len(id_nodes))] if labels[0] == [None] else map(
+                ranges = [range(len(id_nodes))] if labels[0] is None else map(
                     interner.label_range, labels[0]
                 )
                 ids[0] = sorted(itertools.chain.from_iterable(ranges), key=rank.__getitem__)
@@ -183,23 +171,6 @@ def bind_program(program: KernelProgram, store, *, matcher, node_weight=None) ->
     return BoundProgram(
         program, ids, id_nodes, sources, root_keys, root_cand, time.perf_counter() - started
     )
-
-
-def _joined(views):
-    """One view of a head label's tables under distinct tail labels, whose
-    tails are disjoint: their columns concatenated in tail-id order (a
-    label's ids are one range), each table's head indexes and run
-    offsets shifted past the tables before it."""
-    if len(views) == 1:
-        return views[0]
-    heads, keys, childs, offsets, tails, lows = map(array, "qdqqqd")
-    offsets.append(0)
-    for view in sorted(views, key=lambda view: view[4][0]):
-        childs.extend(map(add, view[2], itertools.repeat(len(heads))))
-        offsets[-1:] = array("q", map(add, view[3], itertools.repeat(len(keys))))
-        for column, part in zip((heads, keys, tails, lows), (view[0], view[1], view[4], view[5])):
-            column.frombytes(memoryview(part).cast("B"))
-    return heads, keys, childs, offsets, tails, lows
 
 
 class BoundProgram:

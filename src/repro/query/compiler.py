@@ -75,6 +75,13 @@ class CompiledLabelMatcher(ContainmentMatcher):
             return [label for label in alphabet if wanted <= self._tokens(label)]
         return LabelMatcher.data_labels_for(self, query_label, alphabet)
 
+    def __reduce__(self):
+        # The shared instance unpickles as itself (a shard worker's
+        # queries then hit the per-matcher label expansion memo).
+        if self is COMPILED_MATCHER:
+            return "COMPILED_MATCHER"
+        return super().__reduce__()
+
 
 #: Shared stateless instance — compiled queries reuse it so engine-side
 #: caches keyed on matcher identity hit across queries.

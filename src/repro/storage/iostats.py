@@ -25,9 +25,9 @@ class IOCounter:
         self.blocks_read += blocks
         self.entries_read += num_entries
 
-    def record_open(self) -> None:
-        """Account one table open (directory lookup)."""
-        self.tables_opened += 1
+    def record_open(self, tables: int = 1) -> None:
+        """Account ``tables`` table opens (directory lookups)."""
+        self.tables_opened += tables
 
     def reset(self) -> None:
         """Zero all counters."""

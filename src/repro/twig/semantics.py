@@ -8,6 +8,7 @@ label containment are all handled by the same run-time-graph builder.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable
 
 from repro.graph.digraph import Label
@@ -41,7 +42,8 @@ class ContainmentMatcher(LabelMatcher):
 
     Data labels are treated as collections of tokens (a frozenset, tuple,
     or a delimiter-separated string); a query label matches a data label
-    when every query token occurs among the data label's tokens.
+    when every query token occurs among the data label's tokens.  A
+    (hashable) label is tokenized once per process, not per expansion.
     """
 
     def __init__(self, delimiter: str = "+") -> None:
@@ -50,11 +52,9 @@ class ContainmentMatcher(LabelMatcher):
     def _tokens(self, label: Label) -> frozenset:
         if isinstance(label, frozenset):
             return label
-        if isinstance(label, (set, tuple, list)):
+        if isinstance(label, (set, list)):
             return frozenset(label)
-        if isinstance(label, str):
-            return frozenset(label.split(self.delimiter))
-        return frozenset((label,))
+        return _label_tokens(label, self.delimiter)
 
     def matches(self, query_label: Label, data_label: Label) -> bool:
         if query_label == WILDCARD:
@@ -67,6 +67,17 @@ class ContainmentMatcher(LabelMatcher):
         if query_label == WILDCARD:
             return None
         return [label for label in alphabet if self.matches(query_label, label)]
+
+
+@lru_cache(maxsize=1 << 16)
+def _label_tokens(label: Label, delimiter: str) -> frozenset:
+    """The token set of a hashable label (memoized: data labels recur in
+    every expansion over their alphabet)."""
+    if isinstance(label, tuple):
+        return frozenset(label)
+    if isinstance(label, str):
+        return frozenset(label.split(delimiter))
+    return frozenset((label,))
 
 
 #: Shared default matcher instance (stateless).

@@ -28,6 +28,37 @@ class TestBasics:
         with pytest.raises(GraphError):
             interner.label_of(-1)
 
+    def test_data_labels_expand_once_in_id_order(self):
+        from repro.compact import interner as interner_module
+        from repro.query.compiler import COMPILED_MATCHER, ContainsLabel
+        from repro.twig.semantics import EQUALITY
+
+        interner = NodeInterner({"x": "b+t", "y": "a+t", "z": "c", "w": "t"})
+        calls = []
+
+        class Counting(type(COMPILED_MATCHER)):
+            def data_labels_for(self, query_label, alphabet):
+                calls.append(query_label)
+                return super().data_labels_for(query_label, alphabet)
+
+        matcher = Counting()
+        wanted = ContainsLabel(("t",))
+        first = interner.data_labels(matcher, wanted)
+        assert first == ("a+t", "b+t", "t")  # the interner's id order
+        assert interner.data_labels(matcher, wanted) is first
+        assert interner.data_labels(matcher, "*") is None
+        assert interner.data_labels(matcher, ContainsLabel(("q",))) == ()
+        assert interner.data_labels(matcher, "*") is None
+        assert calls == [wanted, "*", ContainsLabel(("q",))]
+        # Each matcher keeps its own expansion.
+        assert interner.data_labels(EQUALITY, "t") == ("t",)
+        assert interner.data_labels(matcher, "t") == ("t",)
+        assert len(calls) == 4
+        # The memo starts over once full.
+        for i in range(interner_module.EXPANSION_LIMIT):
+            interner.data_labels(EQUALITY, f"l{i}")
+        assert len(interner._expansions) <= interner_module.EXPANSION_LIMIT
+
     def test_mixed_id_types(self):
         interner = NodeInterner({0: "A", "zero": "A", (1, 2): "B"})
         ids = {interner.intern(0), interner.intern("zero"), interner.intern((1, 2))}

@@ -1,10 +1,11 @@
 """Concurrent binds and runs give single-threaded results.
 
-Two races: first binds on one engine build its pair tables' memoized
-views, and runs on one shared ``BoundProgram`` (the engine's binding
-cache hands one to every request) sort its slots on first touch.  Both
-publish without a lock.  CI also runs this file under
-``REPRO_LOCKCHECK=1``.
+Three races: first binds on one engine build its pair tables' memoized
+views, first binds of containment and wildcard queries compose the
+store's memoized multi-table edge views, and runs on one shared
+``BoundProgram`` (the engine's binding cache hands one to every request)
+sort its slots on first touch.  All publish without a lock.  CI also
+runs this file under ``REPRO_LOCKCHECK=1``.
 """
 
 import sys
@@ -14,7 +15,7 @@ from repro.engine import MatchEngine
 from repro.graph.digraph import graph_from_edges
 from repro.graph.generators import citation_graph
 from repro.kernel import bind_program, compile_program
-from tests.kernel.test_executor import forced_slots
+from tests.kernel.test_executor import containment_graph, forced_slots
 
 THREADS = 8
 
@@ -51,11 +52,26 @@ def top(bound, k=20):
     return [(m.score, sorted(m.assignment.items())) for m in bound.run().top_k(k)]
 
 
-def bind_all(engine, offset=0):
+#: Containment and wildcard queries over ``containment_graph()`` whose
+#: edges share expanded label sets (``~V1`` and ``~x`` tails, ``*`` and
+#: ``~V2`` heads), under both axes.
+FANOUT_QUERIES = (
+    "~V1//~V2[~x]",
+    "{V3+y}//~V1//~V2[~x]",
+    "~V1/~V2",
+    "~x//*",
+    "~x//*[~V2]",
+    "{V0+x}//~x//*[~V2]",
+    "~V1//*",
+    "~V1/*",
+)
+
+
+def bind_all(engine, offset=0, queries=QUERIES):
     """Bind every query once, starting at ``offset``: every slot + top 20."""
     results = {}
-    for i in range(len(QUERIES)):
-        query = QUERIES[(offset + i) % len(QUERIES)]
+    for i in range(len(queries)):
+        query = queries[(offset + i) % len(queries)]
         bound = bind(engine, query)
         results[query] = (bound.nodes, top(bound), forced_slots(bound))
     return results
@@ -97,6 +113,20 @@ def test_racing_first_binds_equal_the_single_threaded_bind():
     engine = MatchEngine(data, backend="full")
     for result in race(lambda slot: bind_all(engine, offset=slot)):
         assert result == want
+
+
+def test_racing_first_composed_binds_equal_the_single_threaded_bind():
+    """Eight threads make the first binds of queries whose multi-table
+    edges share label sets: racing threads may compose one edge's views
+    twice, and every bind still equals the single-threaded one."""
+    data = containment_graph()
+    want = bind_all(MatchEngine(data, backend="full"), queries=FANOUT_QUERIES)
+    assert all(result[1] for result in want.values()), "every query must match"
+
+    engine = MatchEngine(data, backend="full")
+    for result in race(lambda slot: bind_all(engine, offset=slot, queries=FANOUT_QUERIES)):
+        assert result == want
+    assert len(engine.store._edge_views) >= len(FANOUT_QUERIES)
 
 
 def test_racing_runs_on_one_bound_program_equal_the_single_threaded_run():

@@ -201,9 +201,12 @@ def reference_slots(engine, compiled, node_weight=None):
 
 
 def leaf_memos(store):
-    """The leaf views memoized on a store's pair tables."""
-    tables = getattr(getattr(store, "_materialized", store), "_pair_tables", {}).values()
-    return [
+    """The packed views memoized on a store: its pair tables' and its
+    composed edge views'."""
+    store = getattr(store, "_materialized", store)
+    tables = getattr(store, "_pair_tables", {}).values()
+    composed = [packed for memo in getattr(store, "_edge_views", {}).values() for packed in memo[0]]
+    return composed + [
         view
         for table in tables
         for view in (table._leaf, table._leaf_direct)
@@ -222,14 +225,17 @@ class TestClosureReads:
         "~V1//~V2[~x]": "{V3+y}//~V1//~V2[~x]",  # containment fan-out
         "{V0+x}/{V1+y}//{V2+x}": "{V3+y}//{V0+x}/{V1+y}//{V2+x}",  # '/' axis
         "{V0+x}//{V1+y}": "{V2+x}//{V0+x}//{V1+y}",  # single leaf edge
+        "{V2+x}//*//{V1+y}": "{V3+y}//{V2+x}//*//{V1+y}",  # wildcard tail
+        "~x//*[~V2]": "{V3+y}//~x//*[~V2]",  # wildcard tail, containment head
     }
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("query", sorted(QUERIES))
     def test_bind_reads_what_the_runtime_graph_load_reads(self, backend, query):
-        """A cold bind, a warm bind (memo hit) and a bind whose table
-        views another query built all meter what ``build_runtime_graph``
-        meters and give identical slots; sorting them reads nothing."""
+        """A cold bind, a warm bind (composed-memo hit) and a bind whose
+        table views another query built all meter what
+        ``build_runtime_graph`` meters and give the interpreter's slots;
+        sorting them reads nothing."""
 
         def reads(engine, load):
             counter = engine.store.counter
@@ -252,17 +258,20 @@ class TestClosureReads:
 
         engine = MatchEngine(containment_graph(), backend=backend)
         cold, loaded = load_and_bind(engine, query)
+        composed = dict(getattr(engine.store, "_edge_views", {}))
         warm, _ = load_and_bind(engine, query)
+        assert getattr(engine.store, "_edge_views", {}) == composed, "the warm bind hits"
         other = MatchEngine(containment_graph(), backend=backend)
         load_and_bind(other, self.QUERIES[query])
         after_other, _ = load_and_bind(other, query)
-        assert cold == warm == after_other
+        assert cold == warm == after_other == reference_slots(engine, engine.compile(query))
         assert loaded[2] > 0
         if backend == "full":
             assert loaded[0] > 0 and loaded[1] > 0
         memos = leaf_memos(engine.store) + leaf_memos(other.store)
         if backend == "full":
             assert memos, "every edge reads its tables through the memo"
+            assert len(composed) == engine.compile(query).num_nodes - 1
         gc.collect()
         for view in memos:
             assert not any(gc.is_tracked(member) for member in view)
@@ -332,6 +341,76 @@ class TestLazySlots:
         bound.run().top_k(1)
         touched = sum(slot is not None for slots in bound.slots for slot in slots)
         assert 0 < touched < sum(map(len, bound.slots))
+
+
+def composed_views(bound):
+    """Each edge's composed slot sources (tails, offsets, keys, childs) as
+    plain lists, in bind order."""
+    return [
+        [[list(column) for column in source[:4]] for source in sources]
+        for _parents, sources in bound.sources
+    ]
+
+
+class TestComposedMemo:
+    """The store-level memo of multi-table edges."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_the_memo_keeps_the_axes_apart(self, backend):
+        """``~V1//X`` and ``~V1/X`` read the same tables under the same
+        label sets: each axis needs its own entry, whichever binds first."""
+        for first, second in (("~V1//{V2+x}", "~V1/{V2+x}"), ("~V1/{V2+x}", "~V1//{V2+x}")):
+            engine = MatchEngine(containment_graph(), backend=backend)
+            for query in (first, second, first):
+                compiled = engine.compile(query)
+                want = reference_slots(engine, compiled)
+                assert want[1], query
+                bound = kernel_bind(engine, compiled)
+                assert forced_slots(bound) == want, (backend, query)
+                assert exact(bound.run().top_k(1000)) == reference(engine, compiled, 1000)
+
+    def test_composed_views_follow_the_interners_label_order(self):
+        """A containment tail expands over the interner's id-ordered
+        labels, one joined view per head label, in head-label order."""
+        from repro.query.compiler import COMPILED_MATCHER, ContainsLabel
+
+        engine = MatchEngine(containment_graph(), backend="full")
+        interner = engine.store.interner
+        tails = interner.data_labels(COMPILED_MATCHER, ContainsLabel(("x",)))
+        assert tails == tuple(label for label in interner.labels() if label.endswith("+x"))
+        assert len(tails) > 1
+        views, lone = engine.store.read_edge_views(tails, None)
+        assert not lone
+        labels = [interner.label_of(view[0][0]) for view in views]
+        assert labels == list(interner.labels())
+        for heads, _keys, _childs, _offsets, view_tails, _lows in views:
+            assert {interner.label_of(head) for head in heads} == {interner.label_of(heads[0])}
+            assert list(view_tails) == sorted(view_tails)
+            assert {interner.label_of(tail) for tail in view_tails} == set(tails), "joined"
+        bound = kernel_bind(engine, engine.compile("~x//*"))
+        (_parents, sources), = bound.sources
+        assert [list(source[0]) for source in sources] == [list(view[4]) for view in views]
+        assert composed_views(kernel_bind(engine, engine.compile("~x//*"))) == composed_views(bound)
+
+    def test_composed_views_do_not_depend_on_hash_randomization(self):
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "from tests.kernel.test_executor import *\n"
+            "engine = MatchEngine(containment_graph(), backend='full')\n"
+            "for query in ('~x//*', '~V1//~V2[~x]', '{V3+y}//~x//*[~V2]'):\n"
+            "    print(composed_views(kernel_bind(engine, engine.compile(query))))\n"
+        )
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("1", "2")
+        }
+        assert len(outputs) == 1
 
 
 class TestRunProtocol:

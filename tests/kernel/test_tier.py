@@ -1,5 +1,7 @@
 """Tier selection, prepared queries, and the serving-layer caches."""
 
+import itertools
+
 import pytest
 
 from repro.engine import MatchEngine
@@ -109,6 +111,22 @@ class TestPreparedQuery:
         prepared.top_k()
         prepared.top_k()
         assert len(engine._kernel_bindings) == 1
+
+    def test_one_shot_calls_bind_outside_the_cache(self, engine):
+        """``top_k``/``stream`` on text lower a fresh program per call,
+        which an identity-keyed cache could never hit: they bind without
+        inserting, and a prepared query still hits its one binding."""
+        query = hot_query(engine)
+        want = exact(engine.top_k(query, 5))
+        assert exact(engine.top_k(query, 5)) == want
+        assert exact(engine.top_k(engine.compile(query), 5)) == want
+        assert exact(itertools.islice(engine.stream(query), 5)) == want
+        assert not engine._kernel_bindings
+        prepared = engine.prepare(query, k=5)
+        assert exact(prepared.top_k()) == want
+        bound = engine._kernel_bindings[prepared.program]
+        assert exact(prepared.top_k()) == want
+        assert list(engine._kernel_bindings.values()) == [bound]
 
     def test_distinct_programs_get_distinct_bindings(self, engine):
         query = hot_query(engine)

@@ -140,6 +140,28 @@ class TestCompiledLabelMatcher:
         assert matcher.data_labels_for("db", alphabet) == ["db"]
         assert matcher.data_labels_for(WILDCARD, alphabet) is None
 
+    def test_data_labels_are_tokenized_once(self):
+        from repro.twig.semantics import _label_tokens
+
+        matcher = CompiledLabelMatcher()
+        alphabet = ["tok-once+a", "tok-once+b", "other"]
+        matcher.data_labels_for(ContainsLabel(("tok-once",)), alphabet)
+        misses = _label_tokens.cache_info().misses
+        for _ in range(3):
+            assert matcher.data_labels_for(ContainsLabel(("tok-once",)), alphabet) == alphabet[:2]
+        assert _label_tokens.cache_info().misses == misses
+
+    def test_the_shared_matcher_unpickles_as_itself(self):
+        import pickle
+
+        from repro.query.compiler import COMPILED_MATCHER
+
+        compiled = compile_query("~db//ml")
+        assert compiled.matcher is COMPILED_MATCHER
+        assert pickle.loads(pickle.dumps(compiled)).matcher is COMPILED_MATCHER
+        other = pickle.loads(pickle.dumps(CompiledLabelMatcher(delimiter="|")))
+        assert other is not COMPILED_MATCHER and other.delimiter == "|"
+
 
 class TestRepr:
     def test_compiled_query_repr_shows_dsl(self):

@@ -468,24 +468,32 @@ def _closure_reads(counter, load):
 
 
 def _three_binds(graph, backend, compiled, engine, **options):
-    """Bind ``compiled`` cold and warm (leaf memo hit) on ``engine``, then on
-    a fresh engine over the same graph: ``[(bound, metered reads)] * 3``."""
+    """Bind ``compiled`` cold and warm on ``engine``, then on a fresh
+    engine over the same graph: ``[(bound, metered reads)] * 3``.  The
+    warm bind must be a memo hit: on the full backend it rebuilds no
+    composed edge view."""
     from repro.kernel import bind_program, compile_program
 
     program = compile_program(compiled)
-    binds = []
-    for target in (engine, engine, MatchEngine(graph, backend=backend, **options)):
+
+    def bind(target):
         matcher = compiled.effective_matcher(target.config.label_matcher)
-        binds.append(
-            _closure_reads(
-                target.store.counter,
-                lambda: bind_program(
-                    program, target.store, matcher=matcher,
-                    node_weight=target.config.node_weight,
-                ),
-            )
+        return _closure_reads(
+            target.store.counter,
+            lambda: bind_program(
+                program, target.store, matcher=matcher,
+                node_weight=target.config.node_weight,
+            ),
         )
-    return binds
+
+    memo = getattr(engine.store, "_edge_views", {})
+    cold = bind(engine)
+    composed = dict(memo)
+    assert composed or backend != "full" or compiled.num_nodes == 1
+    warm = bind(engine)
+    assert memo.keys() == composed.keys()
+    assert all(memo[key] is composed[key] for key in memo)
+    return [cold, warm, bind(MatchEngine(graph, backend=backend, **options))]
 
 
 @given(
