@@ -171,19 +171,20 @@ class NodeInterner:
         """``matcher.data_labels_for(query_label, labels())`` as a tuple in
         id-range order (``None``: every label), computed once per
         ``(matcher, query_label)``: the alphabet never changes, so the
-        kernel bind and the planner share one expansion.  Racing first
-        calls may expand twice; one dict store publishes it."""
-        key = (matcher, query_label)
-        expansions = self._expansions
-        found = expansions.get(key, expansions)
-        if found is not expansions:
-            return found
+        kernel bind and the planner share one expansion.  Matchers key by
+        identity (they need not be hashable) and each entry keeps its
+        matcher alive, so an id cannot alias.  Racing first calls may
+        expand twice; one dict store publishes it."""
+        key = (id(matcher), query_label)
+        found = self._expansions.get(key)
+        if found is not None:
+            return found[1]
         data_labels = matcher.data_labels_for(query_label, self.labels())
         if data_labels is not None:
             data_labels = tuple(data_labels)
-        if len(expansions) >= EXPANSION_LIMIT:
-            expansions.clear()
-        expansions[key] = data_labels
+        if len(self._expansions) >= EXPANSION_LIMIT:
+            self._expansions.clear()
+        self._expansions[key] = (matcher, data_labels)
         return data_labels
 
     def label_ranges(self) -> Iterator[tuple[Label, range]]:

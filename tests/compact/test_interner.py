@@ -50,10 +50,12 @@ class TestBasics:
         assert interner.data_labels(matcher, ContainsLabel(("q",))) == ()
         assert interner.data_labels(matcher, "*") is None
         assert calls == [wanted, "*", ContainsLabel(("q",))]
-        # Each matcher keeps its own expansion.
+        # Each matcher keeps its own expansion; matchers need not hash.
         assert interner.data_labels(EQUALITY, "t") == ("t",)
         assert interner.data_labels(matcher, "t") == ("t",)
         assert len(calls) == 4
+        Counting.__hash__ = None
+        assert interner.data_labels(Counting(), wanted) == first
         # The memo starts over once full.
         for i in range(interner_module.EXPANSION_LIMIT):
             interner.data_labels(EQUALITY, f"l{i}")
