@@ -396,7 +396,9 @@ class TestComposedMemo:
         import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        root = Path(__file__).resolve().parents[2]
         script = (
             "from tests.kernel.test_executor import *\n"
             "engine = MatchEngine(containment_graph(), backend='full')\n"
@@ -406,7 +408,12 @@ class TestComposedMemo:
         outputs = {
             subprocess.run(
                 [sys.executable, "-c", script], capture_output=True, text=True, check=True,
-                env={**os.environ, "PYTHONHASHSEED": seed},
+                cwd=root,
+                env={
+                    **os.environ,
+                    "PYTHONHASHSEED": seed,
+                    "PYTHONPATH": os.pathsep.join((str(root / "src"), str(root))),
+                },
             ).stdout
             for seed in ("1", "2")
         }
