@@ -40,7 +40,7 @@ from typing import Iterator, Sequence
 
 from repro.closure.transitive import TransitiveClosure
 from repro.compact import NodeInterner, buffer_bytes
-from repro.compact.tailmajor import compose, leaf_slots, pack, unpack
+from repro.compact.tailmajor import compose, joined_slots, leaf_slots, pack, unpack
 from repro.exceptions import ClosureError
 from repro.graph.digraph import Label, LabeledDiGraph, NodeId
 from repro.storage.blocks import (
@@ -170,6 +170,10 @@ class _PairTable:
             self._blocks = (block_size, count)
         return self._blocks[1]
 
+    def has_rows(self, direct_only: bool) -> bool:
+        """Whether :meth:`groups` yields anything."""
+        return any(self.direct) if direct_only else len(self.tails) > 0
+
     def groups(self, direct_only: bool) -> Iterator[tuple[int, Sequence[int], Sequence[float]]]:
         """``(head, tails, distances)`` per group (unmetered); ``direct_only``
         keeps direct-edge entries and skips the groups it empties."""
@@ -241,6 +245,8 @@ class ClosureStore:
         self._tail_labels_of: dict[int, set[Label]] = {}
         # (tail labels, head labels, direct_only) -> composed edge views.
         self._edge_views: dict = {}
+        # (expanded tail labels, direct_only) -> head label -> joined view.
+        self._joined: dict = {}
 
         self._build()
 
@@ -283,6 +289,7 @@ class ClosureStore:
         self._pair_tables = dict(pair_tables)
         self._tail_labels_of = {}
         self._edge_views = {}
+        self._joined = {}
         for (alpha, _beta), table in self._pair_tables.items():
             for head_id in table.heads:
                 self._tail_labels_of.setdefault(head_id, set()).add(alpha)
@@ -521,35 +528,91 @@ class ClosureStore:
         ``(tail_labels, head_labels, direct_only)`` (tables never change,
         so the memo never goes stale): a head label read from one table
         shares that table's :meth:`_PairTable.leaf_memo`, one read from
-        several keeps one packed joined copy.  Racing first calls may
-        compose twice; one dict store publishes it."""
+        several is one packed joined copy, built in one pass from their
+        groups (:func:`repro.compact.tailmajor.joined_slots`), not a view
+        per table.  A wildcard tail joins per edge; an expanded tail side
+        joins once for every head label its tables reach
+        (:meth:`_joined_views`), which its later edges share.  Racing
+        first calls may compose twice; one dict store publishes it."""
         key = (tail_labels, head_labels, direct_only)
         memo = self._edge_views.get(key)
         if memo is None:
-            tables = tuple(
-                self._pair_tables[pair]
-                for tail in _or_wildcard(tail_labels)
-                for head in _or_wildcard(head_labels)
-                for pair in self._pairs_matching(tail, head)
-            )
-            rank = self._interner.repr_rank()
-            packs = [table.leaf_memo(rank, direct_only) for table in tables]
-            views = list(map(unpack, packs))
-            groups, lone = compose(views, self._interner.label_of)
-            shared = {id(view): packed for view, packed in zip(views, packs)}
-            block_size = self.directory.block_size
-            memo = (
-                tuple(shared.get(id(view)) or pack(view) for view in groups),
-                lone,
-                len(tables),
-                sum(table.num_entries for table in tables),
-                sum(table.num_blocks(block_size) for table in tables),
-            )
+            memo = self._compose_edge(tail_labels, head_labels, direct_only)
             self._edge_views[key] = memo
         packed, lone, opens, entries, blocks = memo
         self.counter.record_open(opens)
         self.counter.record_read(entries, blocks)
         return list(map(unpack, packed)), lone
+
+    def _compose_edge(self, tail_labels, head_labels, direct_only: bool) -> tuple:
+        """:meth:`read_edge_views`'s memo entry: the packed views, ``lone``,
+        and the opens, entries and blocks to meter."""
+        tables = []
+        by_head: dict = {}
+        for tail in _or_wildcard(tail_labels):
+            for head in _or_wildcard(head_labels):
+                for pair in self._pairs_matching(tail, head):
+                    table = self._pair_tables[pair]
+                    tables.append(table)
+                    if table.has_rows(direct_only):
+                        by_head.setdefault(pair[1], []).append((pair[0], table))
+        rank = self._interner.repr_rank()
+        joined = {}
+        if any(len(group) > 1 for group in by_head.values()):
+            joined = (
+                self._join(by_head, direct_only) if tail_labels is None
+                else self._joined_views(tail_labels, direct_only)
+            )
+        packed = tuple(
+            joined[head] if len(by_head[head]) > 1
+            else by_head[head][0][1].leaf_memo(rank, direct_only)
+            for head in sorted(by_head, key=self._label_start)
+        )
+        block_size = self.directory.block_size
+        return (
+            packed,
+            sum(map(len, by_head.values())) == 1,
+            len(tables),
+            sum(table.num_entries for table in tables),
+            sum(table.num_blocks(block_size) for table in tables),
+        )
+
+    def _joined_views(self, tail_labels: tuple[Label, ...], direct_only: bool) -> dict:
+        """Head label -> packed joined view, for every head label that
+        several of ``tail_labels``' tables reach, built at once the first
+        time an edge with this tail side needs one, and memoized.  An
+        expanded tail side (a containment label) comes back with other
+        head labels: one build over all its tables then takes the place
+        of a cold build per head label, so after a few queries binding a
+        fanned-out edge costs what a warm bind costs.  Racing first calls
+        may build twice; one dict store publishes it."""
+        key = (tail_labels, direct_only)
+        joined = self._joined.get(key)
+        if joined is None:
+            wanted = set(tail_labels)
+            by_head: dict = {}
+            for pair, table in self._pair_tables.items():
+                if pair[0] in wanted and table.has_rows(direct_only):
+                    by_head.setdefault(pair[1], []).append((pair[0], table))
+            joined = self._join(by_head, direct_only)
+            self._joined[key] = joined
+        return joined
+
+    def _join(self, by_head: dict, direct_only: bool) -> dict:
+        """Head label -> packed :func:`joined_slots` view of its
+        ``(tail label, table)`` list, for the head labels with several."""
+        rank = self._interner.repr_rank()
+        joined = {}
+        for head, group in by_head.items():
+            if len(group) > 1:
+                group = sorted(group, key=lambda entry: self._label_start(entry[0]))
+                views = joined_slots([table.groups(direct_only) for _tail, table in group], rank)
+                joined[head] = pack(views)
+        return joined
+
+    def _label_start(self, label: Label) -> int:
+        """The first interned id of ``label``: labels' id order."""
+        return self._interner.label_range(label).start
 
     def read_pair_table(
         self,

@@ -16,6 +16,8 @@ ints, which the garbage collector does not track.
 An edge whose query labels expand to several data labels reads several
 tables; :func:`compose` groups their views per head label and joins
 each group into one view (:func:`join`), which is what the bind reads.
+:func:`joined_slots` builds such a joined view straight from the
+tables' groups, without a view per table.
 """
 
 from __future__ import annotations
@@ -26,17 +28,30 @@ from operator import add
 from typing import Callable, Iterable, Sequence
 
 
-def leaf_slots(groups: Iterable[tuple[int, Sequence[int], Sequence[float]]], rank: Sequence[int]):
+Groups = Iterable[tuple[int, Sequence[int], Sequence[float]]]
+
+
+def leaf_slots(groups: Groups, rank: Sequence[int]):
     """The view of ``groups``: the slots of an edge into an unweighted
     leaf, whose children are all the heads it reaches."""
-    groups = sorted(groups, key=lambda group: rank[group[0]])
+    return joined_slots((groups,), rank)
+
+
+def joined_slots(tables: Iterable[Groups], rank: Sequence[int]):
+    """One view of several tables' groups whose tails are disjoint, given
+    in tail-id order: exactly :func:`join` of their :func:`leaf_slots`
+    views, built in one pass (each table's heads in rank order, after
+    the tables before it)."""
+    heads: list[int] = []
     parents: list[int] = []
     keys: list[float] = []
     childs: list[int] = []
-    for child, (_head, tails, dists) in enumerate(groups):
-        parents += tails
-        keys += [0.0 + dist for dist in dists]
-        childs += [child] * len(tails)
+    for groups in tables:
+        for head, tails, dists in sorted(groups, key=lambda group: rank[group[0]]):
+            childs += [len(heads)] * len(tails)
+            heads.append(head)
+            parents += tails
+            keys += [0.0 + dist for dist in dists]
     # Rows are in head order: a stable sort on the key deals each tail
     # its rows in (key, head) order.
     rows_of: dict[int, list[int]] = {}
@@ -54,7 +69,7 @@ def leaf_slots(groups: Iterable[tuple[int, Sequence[int], Sequence[float]]], ran
         offsets.append(len(picked))
     keys = [keys[row] for row in picked]
     return (
-        array("q", [group[0] for group in groups]),
+        array("q", heads),
         array("d", keys),
         array("q", [childs[row] for row in picked]),
         array("q", offsets),

@@ -2,7 +2,8 @@
 
 Three races: first binds on one engine build its pair tables' memoized
 views, first binds of containment and wildcard queries compose the
-store's memoized multi-table edge views, and runs on one shared
+store's memoized multi-table edge views (and join each expanded tail
+side's views once), and runs on one shared
 ``BoundProgram`` (the engine's binding cache hands one to every request)
 sort its slots on first touch.  All publish without a lock.  CI also
 runs this file under ``REPRO_LOCKCHECK=1``.
@@ -117,8 +118,9 @@ def test_racing_first_binds_equal_the_single_threaded_bind():
 
 def test_racing_first_composed_binds_equal_the_single_threaded_bind():
     """Eight threads make the first binds of queries whose multi-table
-    edges share label sets: racing threads may compose one edge's views
-    twice, and every bind still equals the single-threaded one."""
+    edges share label sets: racing threads may compose one edge's views,
+    or join one expanded tail side's, twice, and every bind still equals
+    the single-threaded one."""
     data = containment_graph()
     want = bind_all(MatchEngine(data, backend="full"), queries=FANOUT_QUERIES)
     assert all(result[1] for result in want.values()), "every query must match"
@@ -127,6 +129,7 @@ def test_racing_first_composed_binds_equal_the_single_threaded_bind():
     for result in race(lambda slot: bind_all(engine, offset=slot, queries=FANOUT_QUERIES)):
         assert result == want
     assert len(engine.store._edge_views) >= len(FANOUT_QUERIES)
+    assert engine.store._joined, "expanded tail sides were joined"
 
 
 def test_racing_runs_on_one_bound_program_equal_the_single_threaded_run():

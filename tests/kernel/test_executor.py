@@ -369,6 +369,45 @@ class TestComposedMemo:
                 assert forced_slots(bound) == want, (backend, query)
                 assert exact(bound.run().top_k(1000)) == reference(engine, compiled, 1000)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_an_expanded_tail_joins_every_head_label_once(self, backend):
+        """The first edge out of ``~x`` joins the views of every head label
+        that ``~x``'s tables reach; edges to other head labels share them
+        (no copy, no new build) per axis, read what
+        ``build_runtime_graph`` reads, and bind as on a fresh engine."""
+        queries = ("~x//{V1+y}", "~x//{V2+x}", "~x/{V1+y}", "~x//{V1+y}[{V3+y}]")
+        engine = MatchEngine(containment_graph(), backend=backend)
+        store = engine.store
+        for query in queries:
+            compiled = engine.compile(query)
+            matcher = compiled.effective_matcher(engine.config.label_matcher)
+            before = store.counter.snapshot()
+            build_runtime_graph(store, compiled.tree, matcher)
+            loaded = store.counter.delta_since(before)
+            before = store.counter.snapshot()
+            bound = kernel_bind(engine, compiled)
+            read = store.counter.delta_since(before)
+            assert (read.blocks_read, read.entries_read, read.tables_opened) == (
+                loaded.blocks_read, loaded.entries_read, loaded.tables_opened
+            ), (backend, query)
+            want = reference_slots(engine, compiled)
+            assert want[1], query
+            assert forced_slots(bound) == want, (backend, query)
+            fresh = MatchEngine(containment_graph(), backend=backend)
+            assert composed_views(kernel_bind(fresh, fresh.compile(query))) == composed_views(bound)
+        if backend != "full":
+            return
+        interner = store.interner
+        from repro.query.compiler import COMPILED_MATCHER, ContainsLabel
+
+        tails = interner.data_labels(COMPILED_MATCHER, ContainsLabel(("x",)))
+        assert sorted(store._joined) == [(tails, False), (tails, True)]
+        joined = store._joined[(tails, False)]
+        assert len(joined) > 2, "every head label several tables reach"
+        for head in ("V1+y", "V2+x"):
+            packed, _lone, *_reads = store._edge_views[(tails, (head,), False)]
+            assert packed == (joined[head],) and packed[0][0] is joined[head][0], "shared"
+
     def test_composed_views_follow_the_interners_label_order(self):
         """A containment tail expands over the interner's id-ordered
         labels, one joined view per head label, in head-label order."""
