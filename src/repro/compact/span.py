@@ -95,10 +95,6 @@ class SpanView:
         """True when ``node_id`` falls inside the owned span."""
         return self.start <= node_id < self.stop
 
-    @property
-    def owned_count(self) -> int:
-        return self.stop - self.start
-
     def owned_ids(self) -> range:
         """The owned ids themselves (contiguous by construction)."""
         return range(self.start, self.stop)

@@ -3,10 +3,11 @@
 The write path the serving tier lacked: mutations land as typed records
 in a :class:`DeltaLog` (optionally write-ahead-logged to a checksummed
 segment file that recovers cleanly from torn tails), reads fold the
-overlay onto the immutable base through :class:`DeltaView` /
-:func:`fold` (sharing every unaffected closure row with the base), and
-a background :class:`Compactor` folds accumulated deltas into numbered
-``.ridx`` generations managed by a :class:`GenerationStore`.
+overlay onto the immutable base through :func:`fold` or
+:func:`fold_graph` (sharing every unaffected closure row with the
+base), and a background :class:`Compactor` folds accumulated deltas
+into numbered ``.ridx`` generations managed by a
+:class:`GenerationStore`.
 
 This package sits on ``repro.engine`` and *below* the serving layer —
 ``repro.service`` wires it up, never the reverse (rule RL001 of
@@ -32,7 +33,6 @@ from repro.delta.records import (
     records_from_updates,
 )
 from repro.delta.view import (
-    DeltaView,
     FoldResult,
     GraphDiff,
     apply_records,
@@ -47,7 +47,6 @@ __all__ = [
     "Compactor",
     "DeltaLog",
     "DeltaRecord",
-    "DeltaView",
     "EdgeAdd",
     "EdgeRemove",
     "FoldResult",

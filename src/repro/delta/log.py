@@ -1,11 +1,11 @@
 """The in-memory delta log: ordered pending records + optional WAL.
 
 A :class:`DeltaLog` is the write side of the overlay: every
-``apply_updates`` batch that takes the delta path lands here as one
-*version* (a monotonically increasing batch counter).  When a WAL is
-attached, records hit the segment file *before* they become visible in
-memory — write-ahead in the literal sense — so any state a reader can
-observe is recoverable.
+``MatchService.apply_updates`` batch lands here as one *version* (a
+monotonically increasing batch counter).  When a WAL is attached,
+records hit the segment file *before* they become visible in memory —
+write-ahead in the literal sense — so any state a reader can observe
+is recoverable.
 
 Folding (materialization or compaction) drains the pending records but
 only a compaction truncates the WAL: an in-memory fold does not change

@@ -11,16 +11,13 @@ fall back to a fresh build, and so does any fold containing label
 changes (interned ids are label-sorted, so a relabel moves the whole
 columnar layout).
 
-Three entry points:
+Two entry points:
 
-* :func:`fold` — base engine + records (the service's delta path and
-  the eager update path both funnel through here, which is what makes
-  "delta then read" byte-identical to "eager rebuild" by construction);
+* :func:`fold` — base engine + records (``MatchService`` folds its
+  pending log through here on the first read after an update);
 * :func:`fold_graph` — base engine + target graph (the shard worker's
-  deferred swap: the coordinator ships a subgraph, the worker diffs it
-  against what it serves and folds the difference);
-* :class:`DeltaView` — a lazy, thread-safe wrapper that folds on first
-  read and caches the patched engine.
+  ``delta`` op: the coordinator ships a subgraph, the worker diffs it
+  against what it serves and folds the difference).
 
 Layering: this module sits on ``repro.engine`` and below the serving
 tier — it must never import ``repro.service`` / ``repro.shard`` /
@@ -40,7 +37,6 @@ from repro.delta.records import (
     LabelChange,
     NodeAdd,
 )
-from repro.devtools.lockcheck import make_lock
 from repro.engine.core import MatchEngine
 from repro.exceptions import DeltaError
 from repro.graph.digraph import LabeledDiGraph
@@ -255,7 +251,7 @@ def diff_graphs(old: LabeledDiGraph, new: LabeledDiGraph) -> GraphDiff:
 def fold_graph(base: MatchEngine, new_graph: LabeledDiGraph) -> FoldResult:
     """Fold ``base`` forward to serve exactly ``new_graph``.
 
-    The shard worker's deferred-swap path: the target graph arrives
+    The shard worker's ``delta`` op: the target graph arrives
     whole (a re-planned subgraph), so the fold diffs it against the
     graph currently served and refreshes incrementally when the diff is
     refresh-shaped (no node departures, no relabels — both of which can
@@ -294,59 +290,3 @@ def fold_graph(base: MatchEngine, new_graph: LabeledDiGraph) -> FoldResult:
         diff.labels_changed,
         started,
     )
-
-
-class DeltaView:
-    """Base + overlay, folded lazily on first read (thread-safe).
-
-    Construct with either ``records`` (an overlay to apply) or
-    ``graph`` (a target to diff-fold toward) — exactly one.  The fold
-    happens at most once; until then the view costs nothing beyond the
-    references it holds.
-    """
-
-    def __init__(
-        self,
-        base: MatchEngine,
-        records: Sequence[DeltaRecord] | None = None,
-        graph: LabeledDiGraph | None = None,
-    ) -> None:
-        if (records is None) == (graph is None):
-            raise DeltaError(
-                "pass exactly one of records= or graph= to DeltaView"
-            )
-        self.base = base
-        self.records = None if records is None else tuple(records)
-        self.target_graph = graph
-        self._lock = make_lock("delta.view")
-        self._result: FoldResult | None = None
-
-    @property
-    def folded(self) -> bool:
-        return self._result is not None
-
-    def result(self) -> FoldResult:
-        """Fold (once) and return the :class:`FoldResult`."""
-        result = self._result
-        if result is None:
-            with self._lock:
-                result = self._result
-                if result is None:
-                    if self.records is not None:
-                        result = fold(self.base, self.records)
-                    else:
-                        result = fold_graph(self.base, self.target_graph)
-                    self._result = result
-        return result
-
-    def engine(self) -> MatchEngine:
-        """The patched engine (folding on first call)."""
-        return self.result().engine
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        shape = (
-            f"{len(self.records)} records"
-            if self.records is not None
-            else "target graph"
-        )
-        return f"DeltaView({shape}, folded={self.folded})"

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Callable
 
 from repro.graph.digraph import LabeledDiGraph, NodeId
 
@@ -107,37 +106,4 @@ def connected_component(graph: LabeledDiGraph, source: NodeId) -> set[NodeId]:
             if prv not in seen:
                 seen.add(prv)
                 stack.append(prv)
-    return seen
-
-
-def random_walk_nodes(
-    graph: LabeledDiGraph,
-    start: NodeId,
-    max_nodes: int,
-    rng_choice: Callable,
-    undirected: bool = True,
-) -> set[NodeId]:
-    """Collect up to ``max_nodes`` nodes by random walk from ``start``.
-
-    Used by the workload extractors (the paper samples induced subgraphs of
-    DBLP "by random walks").  ``rng_choice`` is ``random.Random.choice``.
-    The walk restarts from a previously seen node when it gets stuck.
-    """
-    seen = {start}
-    current = start
-    stalled = 0
-    while len(seen) < max_nodes and stalled < 4 * max_nodes:
-        neighbors = list(graph.successors(current))
-        if undirected:
-            neighbors.extend(graph.predecessors(current))
-        if not neighbors:
-            current = rng_choice(sorted(seen, key=repr))
-            stalled += 1
-            continue
-        current = rng_choice(neighbors)
-        if current in seen:
-            stalled += 1
-        else:
-            stalled = 0
-            seen.add(current)
     return seen

@@ -90,15 +90,6 @@ class TreePattern:
     def num_nodes(self) -> int:
         return sum(1 for _ in self.walk())
 
-    def count_edges(self, axis: EdgeType) -> int:
-        """Number of edges using the given axis."""
-        return sum(
-            1
-            for node in self.walk()
-            for edge in node.children
-            if edge.axis is axis
-        )
-
 
 @dataclass(frozen=True)
 class GraphPattern:

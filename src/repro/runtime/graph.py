@@ -53,10 +53,6 @@ class RuntimeGraph:
         """Viable data nodes for query node ``u``."""
         return self._viable[u]
 
-    def is_viable(self, u: QNodeId, v: NodeId) -> bool:
-        """True when ``(u, v)`` survived bottom-up pruning."""
-        return v in self._viable[u]
-
     def slot(
         self, u: QNodeId, v: NodeId, u_child: QNodeId
     ) -> list[tuple[NodeId, float]]:

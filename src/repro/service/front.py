@@ -38,8 +38,6 @@ class _ServiceFront:
         max_workers: int,
         max_pending: int | None,
         default_deadline: float | None,
-        update_policy: str,
-        delta_batch_limit: int,
     ) -> None:
         if max_workers <= 0:
             raise ServiceError(f"max_workers must be positive, got {max_workers}")
@@ -51,20 +49,9 @@ class _ServiceFront:
             raise ServiceError(
                 f"default_deadline must be positive, got {default_deadline}"
             )
-        if update_policy not in ("auto", "delta", "eager"):
-            raise ServiceError(
-                'update_policy must be "auto", "delta", or "eager", got '
-                f"{update_policy!r}"
-            )
-        if delta_batch_limit < 1:
-            raise ServiceError(
-                f"delta_batch_limit must be >= 1, got {delta_batch_limit}"
-            )
         self.max_workers = max_workers
         self.max_pending = max_pending
         self.default_deadline = default_deadline
-        self.update_policy = update_policy
-        self.delta_batch_limit = delta_batch_limit
         # The pool starts its threads lazily, so a subclass constructor
         # that fails after this point leaks none.
         self._pool = ThreadPoolExecutor(
@@ -81,8 +68,6 @@ class _ServiceFront:
         self._deadline_misses = 0
         self._overload_rejections = 0
         self._updates_applied = 0
-        self._delta_updates = 0
-        self._eager_updates = 0
         self._compactions = 0
 
     def _count(self, counter: str) -> None:
@@ -99,13 +84,7 @@ class _ServiceFront:
             "updates_applied": self._updates_applied,
             "max_workers": self.max_workers,
             "max_pending": self.max_pending,
-            "delta": {
-                "policy": self.update_policy,
-                "batch_limit": self.delta_batch_limit,
-                "delta_updates": self._delta_updates,
-                "eager_updates": self._eager_updates,
-                "compactions": self._compactions,
-            },
+            "delta": {"compactions": self._compactions},
         }
 
     @property
@@ -217,16 +196,6 @@ class _ServiceFront:
             for query in queries
         ]
         return [list(future.result().matches) for future in futures]
-
-    # ------------------------------------------------------------------
-    # Updates
-    # ------------------------------------------------------------------
-    def _use_delta(self, records) -> bool:
-        """Whether ``records`` take the deferred delta path."""
-        return self.update_policy == "delta" or (
-            self.update_policy == "auto"
-            and len(records) <= self.delta_batch_limit
-        )
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -11,7 +11,7 @@ Where :class:`~repro.engine.core.MatchEngine` is a per-call library,
     future = service.submit("A//B[C]", 5)  # async, bounded worker pool
     future.result().matches
 
-    service.apply_updates(edges_added=[("v1", "v9")])   # new snapshot
+    service.apply_updates(edges_added=[("v1", "v9")])   # folded on next read
     service.statistics()["result_cache"]["hit_rate"]
 
 Design:
@@ -33,17 +33,13 @@ Design:
   a bounded queue (fail-fast :class:`ServiceOverloadedError` when full;
   ``batch()`` blocks for slots instead) with per-request deadlines
   (:class:`DeadlineExceededError` when a request expires in the queue).
-* **Write-ahead delta overlay** — under the default ``update_policy=
-  "auto"``, small update batches take the *delta path*: records land in
-  a :class:`~repro.delta.DeltaLog` (write-ahead-logged when
-  ``wal_path`` is set), the epoch advances immediately, and the overlay
-  is folded onto the base lazily — on first read, or by the background
-  :class:`~repro.delta.Compactor`, which also folds accumulated deltas
-  into ``.ridx`` generations when :class:`~repro.delta.CompactionPolicy`
-  thresholds trip.  ``update_policy="eager"`` retains the classic
-  fold-before-return behavior; ``"auto"`` falls back to it for batches
-  larger than ``delta_batch_limit``.  Both paths funnel through
-  :func:`repro.delta.view.fold`, so their answers are byte-identical.
+* **Write-ahead delta overlay** — every update batch lands in a
+  :class:`~repro.delta.DeltaLog` (write-ahead-logged when ``wal_path``
+  is set), the epoch advances immediately, and the overlay is folded
+  onto the base through :func:`repro.delta.view.fold` lazily — on first
+  read, or by the background :class:`~repro.delta.Compactor`, which
+  also folds accumulated deltas into ``.ridx`` generations when
+  :class:`~repro.delta.CompactionPolicy` thresholds trip.
 """
 
 from __future__ import annotations
@@ -57,12 +53,6 @@ from repro.core.matches import Match
 from repro.delta.compactor import CompactionPolicy, Compactor
 from repro.delta.generations import GenerationStore, resolve_index_path
 from repro.delta.log import DeltaLog
-from repro.delta.records import (
-    EdgeAdd,
-    EdgeRemove,
-    LabelChange,
-    NodeAdd,
-)
 from repro.delta.view import apply_records, fold
 from repro.delta.wal import WriteAheadLog
 from repro.engine.config import EngineConfig
@@ -77,6 +67,7 @@ from repro.service.snapshot import (
     UpdateReport,
     cacheable_dsl,
     query_label_footprint,
+    record_counts,
     update_records,
 )
 
@@ -125,13 +116,6 @@ class MatchService(_ServiceFront):
         :meth:`submit` fails fast; defaults to ``8 * max_workers``.
     default_deadline:
         Seconds applied to :meth:`submit` requests that pass none.
-    update_policy:
-        ``"auto"`` (delta path for batches up to ``delta_batch_limit``,
-        eager beyond), ``"delta"`` (always defer), or ``"eager"``
-        (always fold before returning — the retained fallback).
-    delta_batch_limit:
-        Record-count cutover between the delta and eager paths under
-        ``"auto"``.
     wal_path:
         Optional write-ahead log segment file.  Opening an existing
         segment recovers it (torn tail truncated) and replays its
@@ -142,8 +126,8 @@ class MatchService(_ServiceFront):
         thresholds.
     auto_compact:
         Run the background :class:`~repro.delta.Compactor` thread
-        (started lazily on the first delta-path update).  ``False``
-        leaves folding to reads and explicit :meth:`compact` calls.
+        (started lazily on the first update).  ``False`` leaves folding
+        to reads and explicit :meth:`compact` calls.
     generation_base:
         Index path whose generation family :meth:`compact` should write
         (``index.gen-NNNN.ridx`` + manifest).  :meth:`from_index` wires
@@ -161,8 +145,6 @@ class MatchService(_ServiceFront):
         max_workers: int = 4,
         max_pending: int | None = None,
         default_deadline: float | None = None,
-        update_policy: str = "auto",
-        delta_batch_limit: int = 64,
         wal_path: str | Path | None = None,
         compaction: CompactionPolicy | None = None,
         auto_compact: bool = True,
@@ -170,10 +152,7 @@ class MatchService(_ServiceFront):
         _engine: MatchEngine | None = None,
         **overrides,
     ) -> None:
-        super().__init__(
-            max_workers, max_pending, default_deadline, update_policy,
-            delta_batch_limit,
-        )
+        super().__init__(max_workers, max_pending, default_deadline)
         if plan_cache_size < 0 or result_cache_size < 0:
             raise ServiceError(
                 "cache sizes must be >= 0 (0 disables a cache), got "
@@ -469,7 +448,7 @@ class MatchService(_ServiceFront):
 
         Caller holds ``_update_lock``.  The logical epoch advances by
         exactly the number of pending batches, so epochs handed out by
-        deferred :class:`UpdateReport`\\ s line up with the snapshots
+        :class:`UpdateReport`\\ s line up with the snapshots
         readers eventually see.  The WAL is *not* truncated here — only
         a compaction makes the fold durable (see :meth:`compact`).
         """
@@ -496,6 +475,35 @@ class MatchService(_ServiceFront):
             self._records_since_compaction += len(records)
         return snapshot
 
+    def _stage_locked(self, records) -> None:
+        """Apply ``records`` to the pending graph and log them, WAL first.
+
+        Caller holds ``_update_lock``.  On failure the pending graph is
+        rebuilt from the intact log: records are applied one by one, so
+        a mid-batch structural error can strand earlier mutations, and a
+        failed WAL append (unencodable ids, closed segment) made nothing
+        durable, so nothing may become visible.
+        """
+        graph = self._pending_graph
+        if graph is None:
+            graph = self._snapshot.graph.copy()
+        try:
+            try:
+                apply_records(graph, records)
+            except (GraphError, TypeError, ValueError, IndexError) as exc:
+                raise ServiceError(f"invalid graph update: {exc}") from exc
+            self._log.append(records)
+        except Exception:
+            logged = self._log.records()
+            graph = None
+            if logged:
+                graph = self._snapshot.graph.copy()
+                apply_records(graph, logged)  # previously validated
+            self._pending_graph = graph
+            raise
+        self._pending_graph = graph
+        self._pending_batches += 1
+
     def apply_updates(
         self,
         edges_added: tuple = (),
@@ -505,25 +513,21 @@ class MatchService(_ServiceFront):
     ) -> UpdateReport:
         """Apply graph deltas; readers never block and never see a tear.
 
-        Under the default ``update_policy="auto"``, batches up to
-        ``delta_batch_limit`` records take the *delta path*: they are
-        validated against the pending overlay graph, appended to the
-        :class:`~repro.delta.DeltaLog` (write-ahead-logged first when a
-        WAL is attached), and the call returns a ``deferred`` report —
-        the fold onto the base happens on the next read or in the
-        background compactor.  Larger batches, and every batch under
-        ``"eager"``, fold before returning exactly as before.  Both
-        paths advance the logical epoch by one and funnel through
-        :func:`repro.delta.view.fold`, so answers are byte-identical.
+        The batch is validated against the pending overlay graph,
+        appended to the :class:`~repro.delta.DeltaLog` (write-ahead-logged
+        first when a WAL is attached), and the logical epoch advances by
+        one before this returns; the fold onto the base happens on the
+        next read or in the background compactor.
 
-        The result cache migrates entries whose label footprint is
-        disjoint from the fold's affected labels (at materialization
-        time on the delta path).  The plan cache survives edge deltas
-        outright — plans depend only on label counts — and is cleared
-        when nodes or relabels (new label candidates) arrive.
+        At that fold the result cache migrates entries whose label
+        footprint is disjoint from the fold's affected labels.  The plan
+        cache survives edge deltas outright — plans depend only on label
+        counts — and is cleared here when nodes or relabels (new label
+        candidates) arrive.
         """
         with self._update_lock:
             self._check_open()
+            started = time.perf_counter()
             records = update_records(
                 edges_added, edges_removed, nodes_added, labels_changed
             )
@@ -532,104 +536,23 @@ class MatchService(_ServiceFront):
                     "apply_updates needs at least one change (edges_added, "
                     "edges_removed, nodes_added, or labels_changed)"
                 )
-            if self._use_delta(records):
-                return self._apply_delta_locked(records)
-            return self._apply_eager_locked(
-                edges_added, edges_removed, nodes_added, labels_changed,
-                records,
+            self._stage_locked(records)
+            report = UpdateReport(
+                epoch=self.epoch,
+                elapsed_seconds=time.perf_counter() - started,
+                pending_records=self._log.pending_records,
+                **record_counts(records),
             )
-
-    def _rollback_pending_locked(self) -> None:
-        """Rebuild the pending graph from the intact log after a failed
-        apply left it half-mutated (records are validated one by one, so
-        a mid-batch structural error can strand earlier mutations)."""
-        logged = self._log.records()
-        if logged:
-            fresh = self._snapshot.graph.copy()
-            apply_records(fresh, logged)  # previously validated; must apply
-            self._pending_graph = fresh
-        else:
-            self._pending_graph = None
-
-    def _apply_delta_locked(self, records) -> UpdateReport:
-        """The deferred path: validate, log, bump the epoch, return."""
-        started = time.perf_counter()
-        graph = self._pending_graph
-        if graph is None:
-            graph = self._snapshot.graph.copy()
-        try:
-            apply_records(graph, records)
-        except (GraphError, TypeError, ValueError, IndexError) as exc:
-            self._rollback_pending_locked()
-            raise ServiceError(f"invalid graph update: {exc}") from exc
-        try:
-            self._log.append(records)
-        except Exception:
-            # WAL append failed (unencodable ids, closed segment):
-            # nothing became durable, so nothing may become visible.
-            self._rollback_pending_locked()
-            raise
-        self._pending_graph = graph
-        self._pending_batches += 1
-        n_nodes = sum(isinstance(r, NodeAdd) for r in records)
-        n_labels = sum(isinstance(r, LabelChange) for r in records)
-        report = UpdateReport(
-            epoch=self.epoch,
-            nodes_added=n_nodes,
-            edges_added=sum(isinstance(r, EdgeAdd) for r in records),
-            edges_removed=sum(isinstance(r, EdgeRemove) for r in records),
-            incremental=True,
-            rows_recomputed=0,
-            affected_labels=None,
-            elapsed_seconds=time.perf_counter() - started,
-            labels_changed=n_labels,
-            deferred=True,
-            pending_records=self._log.pending_records,
-        )
-        if n_nodes or n_labels:
-            # Cleared eagerly (not at materialization): a plan computed
-            # between this append and the fold would otherwise bake in
-            # stale label candidate counts.
-            report.plans_cleared = self.invalidate_plans()
-        self._count("_updates_applied")
-        self._count("_delta_updates")
-        self._ensure_compactor()
-        if self._compactor is not None:
-            self._compactor.kick()
-        return report
-
-    def _apply_eager_locked(
-        self, edges_added, edges_removed, nodes_added, labels_changed,
-        records,
-    ) -> UpdateReport:
-        """The classic path: fold before returning (absorbing first)."""
-        self._absorb_locked()
-        old = self._snapshot
-        snapshot, report = old.updated(
-            edges_added=edges_added,
-            edges_removed=edges_removed,
-            nodes_added=nodes_added,
-            labels_changed=labels_changed,
-        )
-        # Durability parity with the delta path: the fold lives only in
-        # memory until the next compaction, so the records must reach
-        # the segment or a crash would silently lose an applied update.
-        wal = self._log.wal
-        if wal is not None:
-            wal.append(records)
-        migrated, dropped = self._results.advance(
-            old.epoch, snapshot.epoch, report.affected_labels
-        )
-        report.results_migrated = migrated
-        report.results_dropped = dropped
-        if report.nodes_added or report.labels_changed:
-            report.plans_cleared = self.invalidate_plans()
-        self._snapshot = snapshot
-        with self._stats_lock:
-            self._records_since_compaction += len(records)
-        self._count("_updates_applied")
-        self._count("_eager_updates")
-        return report
+            if report.nodes_added or report.labels_changed:
+                # Cleared now, not at the fold: a plan computed between
+                # this append and the fold would otherwise bake in stale
+                # label candidate counts.
+                report.plans_cleared = self.invalidate_plans()
+            self._count("_updates_applied")
+            self._ensure_compactor()
+            if self._compactor is not None:
+                self._compactor.kick()
+            return report
 
     # ------------------------------------------------------------------
     # Compaction
@@ -720,8 +643,8 @@ class MatchService(_ServiceFront):
         """Explicitly drop every cached plan; returns the count.
 
         The generation bump takes ``_stats_lock``, not ``_update_lock``:
-        both update paths call this while holding ``_update_lock``, and
-        callers outside an update may run concurrently with them.
+        :meth:`apply_updates` calls this while holding ``_update_lock``,
+        and callers outside an update may run concurrently with it.
         """
         with self._stats_lock:
             self._plan_generation += 1
@@ -750,6 +673,5 @@ class MatchService(_ServiceFront):
         return (
             f"MatchService(epoch={self.epoch}, "
             f"backend={self._snapshot.engine.backend_name!r}, "
-            f"policy={self.update_policy!r}, "
             f"workers={self.max_workers}, closed={self._closed})"
         )

@@ -30,19 +30,17 @@ Design:
   fails the request; ``"degrade"`` returns the merged partials from the
   surviving shards with ``response.degraded`` set, raising only when no
   routed shard answered.
-* **Epoch-consistent swaps** — ``apply_updates`` re-plans, rebuilds
-  every shard subgraph, and ships them to the workers one epoch later.
-  Every query reply carries its worker's epoch; a scatter that observes
-  a mixed or stale epoch (it raced the swap) transparently retries
+* **Epoch-consistent updates** — ``apply_updates`` re-plans the graph
+  and ships each shard its new subgraph one epoch later as a ``delta``
+  op: the worker parks the subgraph, bumps its epoch immediately, and
+  folds (:func:`repro.delta.view.fold_graph`) on its next query, so the
+  update call returns without waiting for any shard to rebuild.  Every
+  query reply carries its worker's epoch; a scatter that observes a
+  mixed or stale epoch (it raced the update) transparently retries
   against the new epoch, so no response ever mixes two graph versions.
-* **Per-shard delta overlays** — under ``update_policy="auto"`` small
-  update batches ship as ``delta`` ops: each worker parks its new
-  subgraph and bumps its epoch immediately, folding incrementally
-  (:func:`repro.delta.view.fold_graph`) on its next query — the update
-  call returns without waiting for any shard to rebuild.  ``compact()``
-  asks every worker to fold now.  ``apply_updates(...,
+  ``compact()`` asks every worker to fold now.  ``apply_updates(...,
   num_shards=...)`` additionally re-spreads the graph over a different
-  worker count in the same epoch-consistent swap.
+  worker count in the same update.
 * **Replicated shards with failover** — ``replication=R`` spawns R
   workers per shard (a :class:`_ShardGroup`), all serving the same
   subgraph.  Reads round-robin across live replicas; a replica that is
@@ -94,7 +92,7 @@ from repro.exceptions import (
 from repro.graph.digraph import LabeledDiGraph
 from repro.query.compiler import CompiledQuery, compile_query
 from repro.service.front import _ServiceFront
-from repro.service.snapshot import update_records
+from repro.service.snapshot import record_counts, update_records
 from repro.shard.engine import _union_graph
 from repro.shard.manifest import load_manifest, shard_index, shard_paths
 from repro.shard.merge import merge_topk
@@ -106,7 +104,7 @@ from repro.shard.worker import worker_main
 _BOOT_TIMEOUT = 120.0
 #: Poll granularity while waiting on a worker pipe.
 _POLL_INTERVAL = 0.05
-#: Scatters retried when a reply's epoch proves the request raced a swap.
+#: Scatters retried when a reply's epoch proves the request raced an update.
 _EPOCH_RETRIES = 3
 
 
@@ -441,8 +439,8 @@ class _ShardGroup:
             return worker.call("query", (compiled, k, algorithm), expires_at)
 
     # -- writes ---------------------------------------------------------
-    def broadcast(self, op: str, payload: tuple, boot: dict) -> None:
-        """Ship one update op to every replica.
+    def broadcast(self, payload: tuple, boot: dict) -> None:
+        """Ship one ``delta`` op to every replica.
 
         A dead replica is restarted from the *new* boot spec (which is
         equivalent to having applied the op); a live replica that
@@ -450,7 +448,7 @@ class _ShardGroup:
         """
         for worker in self.replicas:
             try:
-                reply = worker.call(op, payload, None)
+                reply = worker.call("delta", payload, None)
             except ShardUnavailableError:
                 with worker.lock:
                     worker._boot = boot
@@ -520,8 +518,6 @@ class ShardedMatchService(_ServiceFront):
         default_deadline: float | None = None,
         on_shard_failure: str = "error",
         restart_workers: bool = True,
-        update_policy: str = "auto",
-        delta_batch_limit: int = 64,
         replication: int | None = None,
         wal_path: str | Path | None = None,
         **overrides,
@@ -539,10 +535,7 @@ class ShardedMatchService(_ServiceFront):
                 'on_shard_failure must be "error" or "degrade", got '
                 f"{on_shard_failure!r}"
             )
-        super().__init__(
-            max_workers, max_pending, default_deadline, update_policy,
-            delta_batch_limit,
-        )
+        super().__init__(max_workers, max_pending, default_deadline)
         self.on_shard_failure = on_shard_failure
         self.restart_workers = restart_workers
         self._ctx = multiprocessing.get_context("spawn")
@@ -928,9 +921,9 @@ class ShardedMatchService(_ServiceFront):
             )
             if consistent:
                 # An answer whose shards all agree on one epoch is a
-                # consistent snapshot even if a swap landed concurrently;
-                # only mixed-epoch scatters (some shards pre-swap, some
-                # post-swap) must retry.
+                # consistent snapshot even if an update landed
+                # concurrently; only mixed-epoch scatters (some shards
+                # pre-update, some post-update) must retry.
                 if failed:
                     self._count("_degraded_responses")
                 return ShardedResponse(
@@ -961,7 +954,7 @@ class ShardedMatchService(_ServiceFront):
         return self._answer(query, k, algorithm, self._expiry(deadline))
 
     # ------------------------------------------------------------------
-    # Updates: epoch-consistent snapshot swap across all shards
+    # Updates: one epoch-consistent delta across all shards
     # ------------------------------------------------------------------
     def _materialize_graph(self) -> LabeledDiGraph:
         """The full graph (reassembled from the shards on first need)."""
@@ -988,22 +981,18 @@ class ShardedMatchService(_ServiceFront):
     ) -> dict:
         """Re-plan and move every shard to the next epoch.
 
-        Under the default ``update_policy="auto"``, batches up to
-        ``delta_batch_limit`` records ship as per-shard *delta* overlays:
-        each worker parks its new subgraph, becomes the new epoch
-        immediately, and folds incrementally on its next query — this
-        call returns without waiting for any backend rebuild.  Larger
-        batches (and every batch under ``"eager"``) ship as classic
-        ``swap`` ops that rebuild before replying.  Requests racing
-        either path are epoch-checked and retried by :meth:`_answer`,
-        so every response reflects exactly one graph version.
+        Each worker is sent its new subgraph as a ``delta`` op: it parks
+        the subgraph, becomes the new epoch immediately, and folds on
+        its next query, so this call returns without waiting for any
+        backend rebuild.  Requests racing an update are epoch-checked
+        and retried by :meth:`_answer`, so every response reflects
+        exactly one graph version.
 
         ``labels_changed`` relabels existing nodes (may move them across
         label-range shards).  ``num_shards`` re-spreads the graph over a
-        different worker count in the same epoch-consistent update
-        (workers are spawned or retired as needed; the re-spread itself
-        is always eager, since the label->shard layout moves).  Returns
-        a summary report dict.
+        different worker count in the same update (workers are spawned
+        or retired as needed; a kept worker whose nodes moved away
+        rebuilds at its fold).  Returns a summary report dict.
         """
         records = update_records(
             edges_added, edges_removed, nodes_added, labels_changed
@@ -1036,7 +1025,6 @@ class ShardedMatchService(_ServiceFront):
                 plan.subgraph(graph, spec.index) for spec in plan.shards
             ]
             resized = plan.shard_count != self.shard_count
-            use_delta = not resized and self._use_delta(records)
             # Write-ahead: the batch must be durable in every shard's
             # segment before any worker serves the new epoch — this is
             # the acknowledgement barrier.
@@ -1046,10 +1034,9 @@ class ShardedMatchService(_ServiceFront):
                 self._resize_workers_locked(subgraphs, new_epoch)
                 self._realign_wals(self.shard_count)
             else:
-                op = "delta" if use_delta else "swap"
                 for group, subgraph in zip(self._shards, subgraphs):
                     group.broadcast(
-                        op, (new_epoch, subgraph),
+                        (new_epoch, subgraph),
                         self._graph_boot(subgraph, new_epoch),
                     )
             self._graph = graph
@@ -1057,16 +1044,11 @@ class ShardedMatchService(_ServiceFront):
             self._owner = plan.owners
             self._epoch = new_epoch
             self._count("_updates_applied")
-            self._count("_delta_updates" if use_delta else "_eager_updates")
             if resized:
                 self._count("_shard_count_changes")
         return {
             "epoch": new_epoch,
-            "nodes_added": len(dict(nodes_added or {})),
-            "edges_added": len(tuple(edges_added)),
-            "edges_removed": len(tuple(edges_removed)),
-            "labels_changed": len(dict(labels_changed or {})),
-            "deferred": use_delta,
+            **record_counts(records),
             "shard_count": self.shard_count,
             "resized": resized,
             "elapsed_seconds": time.perf_counter() - started,
@@ -1075,19 +1057,19 @@ class ShardedMatchService(_ServiceFront):
     def _resize_workers_locked(self, subgraphs, new_epoch: int) -> None:
         """Grow or shrink the worker set to ``len(subgraphs)`` shards.
 
-        Kept workers are swapped eagerly (a re-spread moves labels
-        between shards, so no worker's overlay is a refresh of its old
-        graph); new workers boot from their subgraph; surplus workers
-        are retired after the new list is installed, so an in-flight
-        scatter holding the old list still finds live handles (its
-        mixed-epoch reply triggers the normal retry).
+        Kept workers are sent their new subgraph as a ``delta`` op (a
+        re-spread moves labels between shards, so their fold rebuilds
+        when nodes left); new workers boot from their subgraph; surplus
+        workers are retired after the new list is installed, so an
+        in-flight scatter holding the old list still finds live handles
+        (its mixed-epoch reply triggers the normal retry).
         """
         old_groups = self._shards
         new_count = len(subgraphs)
         boots = [self._graph_boot(subgraph, new_epoch) for subgraph in subgraphs]
         kept = old_groups[:new_count]
         for group, boot in zip(kept, boots):
-            group.broadcast("swap", (new_epoch, boot["graph"]), boot)
+            group.broadcast((new_epoch, boot["graph"]), boot)
         added = self._spawn_groups(boots[len(kept):], len(kept))
         retired = old_groups[new_count:]
         self._shards = kept + added

@@ -8,23 +8,27 @@ concurrent update can never tear a request: readers either see the old
 graph version everywhere or the new one everywhere (the LSST design's
 immutable-index snapshot style).
 
-:meth:`Snapshot.updated` is the *eager* update path — it folds the
-deltas through :func:`repro.delta.view.fold` (the same machinery the
-write-ahead overlay's lazy materialization uses, which is what makes
-the two paths answer byte-identically) and wraps the result in a fresh
-snapshot one epoch later.  The :class:`UpdateReport` carries the
-invalidation signal the service's caches consume.
+A snapshot never changes: ``apply_updates`` logs its records, and the
+next read folds them onto the current snapshot's engine through
+:func:`repro.delta.view.fold` and wraps the result in a new snapshot.
+The :class:`UpdateReport` says what one update call logged; the fold's
+affected-label signal reaches the result cache at that read.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.delta.records import records_from_updates
-from repro.delta.view import fold
+from repro.delta.records import (
+    EdgeAdd,
+    EdgeRemove,
+    LabelChange,
+    NodeAdd,
+    records_from_updates,
+)
 from repro.engine.core import MatchEngine, PreparedQuery
-from repro.exceptions import GraphError, QueryError, ServiceError
+from repro.exceptions import QueryError, ServiceError
 from repro.graph.digraph import LabeledDiGraph
 from repro.graph.query import WILDCARD
 from repro.query.compiler import CompiledQuery, ContainsLabel
@@ -33,34 +37,23 @@ from repro.twig.semantics import EQUALITY, LabelMatcher
 
 @dataclass
 class UpdateReport:
-    """What one :meth:`MatchService.apply_updates` call did, and its cost."""
+    """What one :meth:`MatchService.apply_updates` call logged, and its cost.
+
+    The records are logged but not yet folded: the fold happens on the
+    next read or in the background compactor.
+    """
 
     epoch: int
     nodes_added: int
     edges_added: int
     edges_removed: int
-    #: Whether the backend refreshed incrementally or rebuilt from scratch.
-    incremental: bool
-    #: Closure rows the refresh actually recomputed (== num_nodes on rebuild).
-    rows_recomputed: int
-    #: Labels whose reachability pairs changed (``None`` = unknown, assume all).
-    affected_labels: frozenset | None
+    #: Nodes whose label changed in place (the fold rebuilds when > 0).
+    labels_changed: int
     elapsed_seconds: float
-    #: Filled by the service: result-cache entries that survived / died,
-    #: and whether the plan cache had to be cleared (node additions only).
-    results_migrated: int = field(default=0)
-    results_dropped: int = field(default=0)
-    plans_cleared: int = field(default=0)
-    #: Nodes whose label changed in place (always a rebuild when > 0).
-    labels_changed: int = field(default=0)
-    #: True when the update took the delta path: the records are logged
-    #: but not yet folded — ``incremental``/``rows_recomputed``/
-    #: ``affected_labels`` describe the *pending* state (nothing
-    #: recomputed yet), and the fold happens on first read or in the
-    #: background compactor.
-    deferred: bool = field(default=False)
-    #: Overlay records pending after this update (delta path only).
-    pending_records: int = field(default=0)
+    #: Plan-cache entries cleared (node additions and relabels only).
+    plans_cleared: int = 0
+    #: Overlay records pending after this update.
+    pending_records: int = 0
 
 
 @dataclass(frozen=True)
@@ -91,59 +84,6 @@ class Snapshot:
     def prepare(self, query, k: int = 10, algorithm: str | None = None) -> PreparedQuery:
         return self.engine.prepare(query, k, algorithm=algorithm)
 
-    # ------------------------------------------------------------------
-    def updated(
-        self,
-        edges_added: tuple = (),
-        edges_removed: tuple = (),
-        nodes_added: dict | None = None,
-        labels_changed: dict | None = None,
-    ) -> tuple["Snapshot", UpdateReport]:
-        """A new snapshot with the deltas applied; this one is untouched.
-
-        ``edges_added`` takes ``(tail, head)`` or ``(tail, head, weight)``
-        tuples; ``edges_removed`` takes ``(tail, head)``; ``nodes_added``
-        maps new node ids to labels; ``labels_changed`` maps existing
-        node ids to their new labels (always a full rebuild: interned
-        ids are label-sorted, so a relabel moves the columnar layout).
-        Structural problems (unknown endpoints, removing a missing edge,
-        re-adding under a different label) surface as
-        :class:`~repro.exceptions.ServiceError`.
-
-        The fold itself is :func:`repro.delta.view.fold` — the same
-        code path the write-ahead delta overlay materializes through,
-        so eager and deferred updates are byte-identical by
-        construction.
-        """
-        started = time.perf_counter()
-        records = update_records(
-            edges_added, edges_removed, nodes_added, labels_changed
-        )
-        if not records:
-            raise ServiceError(
-                "apply_updates needs at least one change (edges_added, "
-                "edges_removed, nodes_added, or labels_changed)"
-            )
-        try:
-            result = fold(self.engine, records)
-        except (GraphError, TypeError, ValueError, IndexError) as exc:
-            raise ServiceError(f"invalid graph update: {exc}") from exc
-        snapshot = Snapshot(
-            epoch=self.epoch + 1, engine=result.engine, created_at=time.time()
-        )
-        report = UpdateReport(
-            epoch=snapshot.epoch,
-            nodes_added=result.nodes_added,
-            edges_added=result.edges_added,
-            edges_removed=result.edges_removed,
-            incremental=result.incremental,
-            rows_recomputed=result.rows_recomputed,
-            affected_labels=result.affected_labels,
-            elapsed_seconds=time.perf_counter() - started,
-            labels_changed=result.labels_changed,
-        )
-        return snapshot, report
-
 
 def update_records(
     edges_added, edges_removed, nodes_added, labels_changed
@@ -155,6 +95,16 @@ def update_records(
         )
     except (TypeError, ValueError, IndexError) as exc:
         raise ServiceError(f"invalid graph update: {exc}") from exc
+
+
+def record_counts(records) -> dict:
+    """How many records of each kind one update batch holds."""
+    return {
+        "nodes_added": sum(isinstance(r, NodeAdd) for r in records),
+        "edges_added": sum(isinstance(r, EdgeAdd) for r in records),
+        "edges_removed": sum(isinstance(r, EdgeRemove) for r in records),
+        "labels_changed": sum(isinstance(r, LabelChange) for r in records),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -217,8 +167,8 @@ def query_label_footprint(
 
     Plain-labeled tree queries under plain equality semantics touch only
     closure pairs (and, for ``/`` edges, adjacency) between their own
-    labels; :meth:`Snapshot.updated` folds both distance changes and the
-    changed edges' endpoint labels into ``affected_labels``, so a
+    labels; :func:`repro.delta.view.fold` folds both distance changes and
+    the changed edges' endpoint labels into ``affected_labels``, so a
     disjoint footprint provably leaves the results unchanged.  Anything
     that maps query labels onto data labels the footprint cannot
     enumerate — wildcards, containment, cyclic patterns (which run on

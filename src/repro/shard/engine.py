@@ -258,8 +258,8 @@ class ShardedEngine:
         the whole label-range layout.  (The flat engine's incremental
         refresh is a per-snapshot optimization; the sharded layer trades
         it for partition invariants that stay exact.)  The receiver is
-        untouched — this is snapshot-swap semantics, mirroring
-        :meth:`repro.service.Snapshot.updated`.
+        untouched — snapshot-swap semantics: like a service
+        :class:`~repro.service.Snapshot`, an engine is never mutated.
         """
         graph = self.graph.copy()
         try:

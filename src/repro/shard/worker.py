@@ -17,7 +17,6 @@ op           payload                                        ok-reply
 ===========  =============================================  ==============
 ``ping``     —                                              ``epoch``
 ``query``    ``compiled, k, algorithm``                     ``epoch, matches``
-``swap``     ``epoch, subgraph``                            ``epoch``
 ``delta``    ``epoch, subgraph``                            ``epoch``
 ``compact``  —                                              ``epoch``
 ``stats``    —                                              ``stats dict``
@@ -25,19 +24,19 @@ op           payload                                        ok-reply
 ===========  =============================================  ==============
 
 Every ``query`` reply carries the worker's current epoch, which is how
-the coordinator detects a request that raced an ``apply_updates`` swap
+the coordinator detects a request that raced an ``apply_updates`` call
 and retries it for an epoch-consistent answer.  Errors inside an op are
 caught and shipped back by *name* (exception classes cross the pipe as
 strings, and the coordinator re-raises them from its own taxonomy);
 only a broken pipe kills the worker.
 
-``swap`` rebuilds the shard engine before replying (the eager path);
-``delta`` is its write-ahead sibling: the worker parks the shipped
-subgraph as a pending overlay, bumps its epoch immediately, and folds
-via :func:`repro.delta.view.fold_graph` on the next ``query`` /
-``stats`` / ``compact`` — an incremental refresh that shares every
-unaffected closure row with the old engine, so sustained write traffic
-never stalls the scatter path on whole-shard rebuilds.
+``delta`` is the one update op: the worker parks the shipped subgraph
+as a pending overlay, bumps its epoch immediately, and folds via
+:func:`repro.delta.view.fold_graph` on the next ``query`` / ``stats`` /
+``compact`` — an incremental refresh that shares every unaffected
+closure row with the old engine (a rebuild when nodes left the shard or
+changed label, as after a resize), so sustained write traffic never
+stalls the scatter path on whole-shard rebuilds.
 """
 
 from __future__ import annotations
@@ -54,8 +53,8 @@ def worker_main(conn, boot: dict) -> None:
       shard's ``.ridx`` via :meth:`MatchEngine.load` (mmap happens here,
       in the child);
     * ``{"mode": "graph", "graph": LabeledDiGraph, "config": EngineConfig,
-      "epoch": int}`` — build from a shipped subgraph (the
-      ``apply_updates`` swap path, and graph-constructed services).
+      "epoch": int}`` — build from a shipped subgraph (graph-constructed
+      services, workers a resize adds, replicas an update restarts).
 
     Either mode may carry ``"pending": LabeledDiGraph`` — the shard's
     current subgraph when it is ahead of the booted base (a replica
@@ -105,12 +104,6 @@ def worker_main(conn, boot: dict) -> None:
                 compiled, k, algorithm = payload
                 matches = engine.top_k(compiled, k, algorithm=algorithm)
                 reply = ("ok", epoch, matches)
-            elif op == "swap":
-                new_epoch, subgraph = payload
-                engine = MatchEngine(subgraph, engine.config)
-                pending_graph = None
-                epoch = int(new_epoch)
-                reply = ("ok", epoch)
             elif op == "delta":
                 # Park the target subgraph and become the new epoch now;
                 # the expensive fold happens on the next read, off the

@@ -1,9 +1,8 @@
-"""Folding overlays: fold / fold_graph / diff_graphs / DeltaView."""
+"""Folding overlays: fold / fold_graph / diff_graphs."""
 
 import pytest
 
 from repro.delta import (
-    DeltaView,
     EdgeAdd,
     EdgeRemove,
     LabelChange,
@@ -14,7 +13,7 @@ from repro.delta import (
     fold_graph,
 )
 from repro.engine import MatchEngine
-from repro.exceptions import DeltaError
+from repro.graph.digraph import graph_from_edges
 from repro.graph.generators import citation_graph
 
 RECORDS = (
@@ -78,6 +77,19 @@ class TestFold:
         result = fold(base, (NodeAdd(888, "V3"),))
         assert "V3" in result.affected_labels
 
+    def test_adjacency_change_lands_in_affected_set(self):
+        """An added edge between nodes already at that distance moves no
+        closure row, yet it changes ``/`` (direct-child) matches: the
+        edge's endpoint labels must still be affected."""
+        graph = graph_from_edges(
+            {"u": "A", "w": "C", "v": "B"}, [("u", "w"), ("w", "v")]
+        )
+        result = fold(
+            MatchEngine(graph, backend="full"), (EdgeAdd("u", "v", 2),)
+        )
+        assert result.incremental
+        assert {"A", "B"} <= result.affected_labels
+
     def test_patched_graph_is_adopted(self, base):
         graph = base.graph.copy()
         apply_records(graph, RECORDS)
@@ -135,28 +147,3 @@ class TestDiffGraphs:
         diff = diff_graphs(old, new)
         assert (tail, head, weight + 7) in diff.edges_added
         assert (tail, head) not in diff.edges_removed
-
-
-class TestDeltaView:
-    def test_lazy_fold_once(self, base):
-        view = DeltaView(base, records=RECORDS)
-        assert not view.folded
-        engine = view.engine()
-        assert view.folded
-        assert view.engine() is engine  # cached, not re-folded
-        fresh = patched_engine(base, RECORDS)
-        assert exact(engine.top_k("V0//V1", 6)) == exact(
-            fresh.top_k("V0//V1", 6)
-        )
-
-    def test_graph_target_variant(self, base):
-        target = base.graph.copy()
-        apply_records(target, RECORDS)
-        view = DeltaView(base, graph=target)
-        assert view.result().engine.graph is target
-
-    def test_exactly_one_input_required(self, base):
-        with pytest.raises(DeltaError, match="exactly one"):
-            DeltaView(base)
-        with pytest.raises(DeltaError, match="exactly one"):
-            DeltaView(base, records=RECORDS, graph=base.graph)

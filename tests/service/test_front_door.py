@@ -93,8 +93,6 @@ def test_invalid_deadline_rejected(make):
         ({"max_workers": 0}, "max_workers"),
         ({"max_pending": 0}, "max_pending"),
         ({"default_deadline": -1}, "default_deadline"),
-        ({"update_policy": "sometimes"}, "update_policy"),
-        ({"delta_batch_limit": 0}, "delta_batch_limit"),
     ],
 )
 def test_invalid_construction_rejected(make, kwargs, match):

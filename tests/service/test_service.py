@@ -209,33 +209,29 @@ class TestUpdates:
             assert len(service.top_k("A//B", 5)) == len(before) - 1
 
     def test_selective_invalidation_keeps_disjoint_entries(self):
-        # Eager policy: the report must carry the fold's affected-label
-        # signal inline (the delta path defers it to materialization).
+        # The read after the update folds it: the fold's affected labels
+        # ({C, D} here) decide which cached answers migrate.
         with MatchService(
-            two_cluster_graph(), backend="full", update_policy="eager"
+            two_cluster_graph(), backend="full", auto_compact=False
         ) as service:
             service.top_k("A//B", 3)
             service.top_k("C//D", 3)
-            report = service.apply_updates(edges_added=[("c1", "d1")])
-            assert report.incremental
-            assert report.affected_labels is not None
-            assert report.affected_labels <= {"C", "D"}
-            assert report.results_migrated == 1  # the A//B entry
-            assert report.results_dropped == 1   # the C//D entry
+            service.apply_updates(edges_added=[("c1", "d1")])
             assert service.request("A//B", 3).result_cache_hit
             assert not service.request("C//D", 3).result_cache_hit
+            cache = service.statistics()["result_cache"]
+            assert cache["invalidations"] == 1  # only the C//D entry
 
     def test_rebuild_backend_flushes_results(self):
         with MatchService(
-            two_cluster_graph(), backend="pll", update_policy="eager"
+            two_cluster_graph(), backend="pll", auto_compact=False
         ) as service:
             service.top_k("A//B", 3)
-            report = service.apply_updates(edges_added=[("c1", "d1")])
-            assert not report.incremental
-            assert report.affected_labels is None
-            assert report.results_migrated == 0
-            assert report.results_dropped == 1
+            service.apply_updates(edges_added=[("c1", "d1")])
+            # pll rebuilds: no affected-label signal, everything drops.
             assert not service.request("A//B", 3).result_cache_hit
+            cache = service.statistics()["result_cache"]
+            assert cache["invalidations"] == 1
 
     def test_node_additions_clear_plan_cache(self):
         with MatchService(
@@ -271,13 +267,10 @@ class TestUpdates:
             {"u": "A", "w": "C", "v": "B"}, [("u", "w"), ("w", "v")]
         )
         query = QueryTree({"r": "A", "c": "B"}, [("r", "c", EdgeType.CHILD)])
-        with MatchService(
-            graph, backend="full", update_policy="eager"
-        ) as service:
+        with MatchService(graph, backend="full") as service:
             assert service.top_k(query, 5) == []
-            report = service.apply_updates(edges_added=[("u", "v", 2)])
             # The distance u->v was already 2; adjacency still changed.
-            assert {"A", "B"} <= report.affected_labels
+            service.apply_updates(edges_added=[("u", "v", 2)])
             assert len(service.top_k(query, 5)) == 1
 
     def test_direct_edge_removal_with_equal_cost_detour(self):

@@ -1,6 +1,6 @@
 """MatchService write path: delta overlay, WAL recovery, compaction.
 
-The acceptance contract of the write-ahead overlay: a delta-path update
+The acceptance contract of the write-ahead overlay: an update's fold
 is deferred but *never* observable as staleness (the first read folds
 it), a crash at any point between append and compaction loses nothing
 that was acknowledged, and a compaction swaps in a new ``.ridx``
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.delta import CompactionPolicy, scan_wal
+from repro.delta import CompactionPolicy, records_from_updates, scan_wal
 from repro.engine import MatchEngine
 from repro.exceptions import ServiceError
 from repro.graph.generators import citation_graph
@@ -49,12 +49,11 @@ def durable_service(base, wal, **kwargs):
 class TestDeltaPath:
     def test_update_defers_and_read_materializes(self, graph):
         with MatchService(
-            graph, backend="full", update_policy="delta", max_workers=1,
-            auto_compact=False,
+            graph, backend="full", max_workers=1, auto_compact=False,
         ) as service:
             report = service.apply_updates(edges_added=[(0, 1, 1)])
-            assert report.deferred
             assert report.epoch == 1
+            assert report.pending_records == 1
             assert service.epoch == 1
             mutated = graph.copy()
             mutated.add_edge(0, 1, 1)
@@ -62,31 +61,51 @@ class TestDeltaPath:
             assert exact(service.top_k(QUERY, 8)) == exact(
                 fresh.top_k(QUERY, 8)
             )
-            stats = service.statistics()["delta"]
-            assert stats["delta_updates"] == 1
-            assert stats["materializations"] == 1
-            assert stats["pending_records"] == 0
+            stats = service.statistics()
+            assert stats["updates_applied"] == 1
+            assert stats["delta"]["materializations"] == 1
+            assert stats["delta"]["pending_records"] == 0
 
-    def test_auto_policy_routes_large_batches_eagerly(self, graph):
-        with MatchService(
-            graph, backend="full", update_policy="auto",
-            delta_batch_limit=2, max_workers=1, auto_compact=False,
-        ) as service:
-            small = service.apply_updates(edges_added=[(0, 2)])
-            assert small.deferred
-            big = service.apply_updates(
-                edges_added=[(0, 3), (0, 4), (1, 5)]
+    def test_large_batch_is_logged_and_folded_on_read(self, family, graph):
+        """One batch well past 64 records takes the same path as any
+        other: every record reaches the WAL before the call returns, and
+        the next read folds them all."""
+        base, wal = family
+        nodes_added = {100 + i: f"V{i % 5}" for i in range(10)}
+        edges_added = [(i, 100 + i % 10, 1 + i % 3) for i in range(40)]
+        edges_added += [(100 + j, (7 * j) % 40) for j in range(10)]
+        edges_removed = sorted((t, h) for t, h, _w in graph.edges())[:20]
+        records = records_from_updates(
+            edges_added, edges_removed, nodes_added
+        )
+        assert len(records) == 80
+        with durable_service(base, wal) as service:
+            report = service.apply_updates(
+                edges_added=edges_added,
+                edges_removed=edges_removed,
+                nodes_added=nodes_added,
             )
-            assert not big.deferred
+            assert report.pending_records == 80
+            assert scan_wal(wal).records == records
+            mutated = graph.copy()
+            for node, label in nodes_added.items():
+                mutated.add_node(node, label)
+            for edge in edges_added:
+                mutated.add_edge(*edge)
+            for tail, head in edges_removed:
+                mutated.remove_edge(tail, head)
+            fresh = MatchEngine(mutated, backend="full")
+            for query in (QUERY, "V2//V0", "V0[V1]//V3"):
+                assert exact(service.top_k(query, 8)) == exact(
+                    fresh.top_k(query, 8)
+                )
             stats = service.statistics()["delta"]
-            assert stats["delta_updates"] == 1
-            assert stats["eager_updates"] == 1
-            assert stats["pending_records"] == 0  # eager absorbed the log
+            assert stats["materializations"] == 1
+            assert stats["wal"]["appended_records"] == 80
 
     def test_failed_batch_rolls_back_cleanly(self, graph):
         with MatchService(
-            graph, backend="full", update_policy="delta", max_workers=1,
-            auto_compact=False,
+            graph, backend="full", max_workers=1, auto_compact=False,
         ) as service:
             service.apply_updates(edges_added=[(0, 6)])
             with pytest.raises(ServiceError):
@@ -106,7 +125,7 @@ class TestDeltaPath:
 class TestWalRecovery:
     def test_crash_before_fold_replays_and_converges(self, family, graph):
         base, wal = family
-        service = durable_service(base, wal, update_policy="delta")
+        service = durable_service(base, wal)
         service.apply_updates(edges_added=[(0, 1, 1)])
         service.apply_updates(edges_added=[(2, 0, 2)])
         # Simulated crash: the process dies without close()/compact().
@@ -123,7 +142,7 @@ class TestWalRecovery:
 
     def test_kill_mid_append_drops_the_torn_tail(self, family, graph):
         base, wal = family
-        service = durable_service(base, wal, update_policy="delta")
+        service = durable_service(base, wal)
         service.apply_updates(edges_added=[(0, 1, 1)])
         service._pool.shutdown(wait=False)
         with open(wal, "ab") as handle:
@@ -142,7 +161,7 @@ class TestWalRecovery:
 
     def test_recovered_wal_must_apply_to_the_base(self, family):
         base, wal = family
-        service = durable_service(base, wal, update_policy="delta")
+        service = durable_service(base, wal)
         service.apply_updates(edges_added=[(30, 31, 1)])
         service._pool.shutdown(wait=False)
         other_base = base.with_name("other.ridx")
@@ -158,7 +177,7 @@ class TestCompaction:
         self, family, graph
     ):
         base, wal = family
-        with durable_service(base, wal, update_policy="delta") as service:
+        with durable_service(base, wal) as service:
             service.apply_updates(edges_added=[(0, 1, 1)])
             report = service.compact()
             assert report["generation"] == 1
@@ -182,7 +201,7 @@ class TestCompaction:
         from repro.delta import WriteAheadLog, records_from_updates
 
         base, wal = family
-        with durable_service(base, wal, update_policy="delta") as service:
+        with durable_service(base, wal) as service:
             service.apply_updates(edges_added=[(0, 1, 1)])
             service.compact()
         # Forge the pre-truncation state: a gen-0 WAL still holding the
@@ -205,7 +224,6 @@ class TestCompaction:
         base, wal = family
         with durable_service(
             base, wal,
-            update_policy="delta",
             auto_compact=True,
             compaction=CompactionPolicy(max_records=2, max_ratio=0),
         ) as service:
@@ -228,8 +246,7 @@ class TestCompaction:
         """An in-memory service (no from_index base) can still compact:
         the fold happens, there is just no .ridx family to write."""
         with MatchService(
-            graph, backend="full", update_policy="delta", max_workers=1,
-            auto_compact=False,
+            graph, backend="full", max_workers=1, auto_compact=False,
         ) as service:
             service.apply_updates(edges_added=[(0, 1, 1)])
             report = service.compact()
@@ -242,7 +259,7 @@ class TestCloseReportsCompactorStop:
     def test_close_reports_timed_out_compactor_stop(self, family):
         base, wal = family
         service = durable_service(
-            base, wal, update_policy="delta", auto_compact=True,
+            base, wal, auto_compact=True,
         )
         service.apply_updates(edges_added=[(0, 1, 1)])  # spins the thread up
         real_stop = service._compactor.stop
@@ -253,7 +270,7 @@ class TestCloseReportsCompactorStop:
     def test_clean_close_returns_true(self, family):
         base, wal = family
         service = durable_service(
-            base, wal, update_policy="delta", auto_compact=True,
+            base, wal, auto_compact=True,
         )
         service.apply_updates(edges_added=[(0, 1, 1)])
         assert service.close() is True

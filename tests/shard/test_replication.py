@@ -182,7 +182,7 @@ def test_read_order_round_robins(small_graph):
 
 def test_updates_broadcast_to_all_replicas(small_graph):
     with ShardedMatchService(
-        small_graph, num_shards=2, replication=2, update_policy="eager"
+        small_graph, num_shards=2, replication=2
     ) as service:
         report = service.apply_updates(nodes_added={"vx": "A"})
         assert report["epoch"] == 1
@@ -196,7 +196,7 @@ def test_updates_broadcast_to_all_replicas(small_graph):
 
 def test_dead_replica_catches_up_via_restart_on_broadcast(small_graph, flat):
     with ShardedMatchService(
-        small_graph, num_shards=2, replication=2, update_policy="eager"
+        small_graph, num_shards=2, replication=2
     ) as service:
         group = service._shards[0]
         group.replicas[1].process.kill()

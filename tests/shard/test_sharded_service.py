@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.delta import records_from_updates, scan_wal
 from repro.engine.config import EngineConfig
 from repro.engine.core import MatchEngine
 from repro.exceptions import (
@@ -167,15 +168,13 @@ def test_error_mode_fails_partial_scatter():
 
 
 def test_apply_updates_swaps_all_shards(small_graph):
-    with ShardedMatchService(
-        small_graph, num_shards=2, update_policy="eager"
-    ) as service:
+    with ShardedMatchService(small_graph, num_shards=2) as service:
         report = service.apply_updates(
             edges_added=[("v1", "v20")], nodes_added={"v90": "B"}
         )
         assert report["epoch"] == 1
         assert report["shard_count"] == 2
-        assert not report["deferred"]
+        assert report["nodes_added"] == 1 and report["edges_added"] == 1
         mutated = small_graph.copy()
         mutated.add_node("v90", "B")
         mutated.add_edge("v1", "v20")
@@ -192,7 +191,6 @@ def test_apply_updates_swaps_all_shards(small_graph):
 def test_apply_updates_delta_path_defers_and_converges(small_graph):
     with ShardedMatchService(small_graph, num_shards=2) as service:
         report = service.apply_updates(edges_added=[("v1", "v20")])
-        assert report["deferred"], "small batches take the delta path"
         assert report["epoch"] == 1
         mutated = small_graph.copy()
         mutated.add_edge("v1", "v20")
@@ -201,12 +199,79 @@ def test_apply_updates_delta_path_defers_and_converges(small_graph):
             assert scores(service.top_k(query, 6)) == scores(
                 fresh.top_k(query, 6)
             )
-        assert service.statistics()["delta"]["delta_updates"] == 1
+        assert service.statistics()["updates_applied"] == 1
         compacted = service.compact()
         assert compacted["shards_compacted"] == 2
         assert compacted["errors"] == []
         assert service.statistics()["delta"]["compactions"] == 1
         for query in QUERIES:  # still byte-equal after the fold
+            assert scores(service.top_k(query, 6)) == scores(
+                fresh.top_k(query, 6)
+            )
+
+
+def _one_shot_arguments(graph):
+    """Update arguments that can be iterated only once (generators)."""
+    removed = next(iter(graph.edges()))[:2]
+    return {
+        "edges_added": (edge for edge in [("v1", "v20"), ("v2", "v30")]),
+        "edges_removed": (edge for edge in [removed]),
+        "nodes_added": (pair for pair in [("v90", "B")]),
+    }
+
+
+ONE_SHOT_COUNTS = {
+    "nodes_added": 1, "edges_added": 2, "edges_removed": 1,
+    "labels_changed": 0,
+}
+
+
+def test_flat_report_counts_generator_arguments(small_graph):
+    with MatchService(small_graph, max_workers=1) as service:
+        report = service.apply_updates(**_one_shot_arguments(small_graph))
+    counts = {key: getattr(report, key) for key in ONE_SHOT_COUNTS}
+    assert counts == ONE_SHOT_COUNTS
+
+
+def test_sharded_report_counts_generator_arguments(small_graph):
+    """The report counts the batch's records, not the (already consumed)
+    arguments, so it agrees with :class:`MatchService`'s report."""
+    with ShardedMatchService(small_graph, num_shards=2) as service:
+        report = service.apply_updates(**_one_shot_arguments(small_graph))
+    assert {key: report[key] for key in ONE_SHOT_COUNTS} == ONE_SHOT_COUNTS
+
+
+def test_large_batch_reaches_every_wal_segment(small_graph, tmp_path):
+    """One batch well past 64 records: every shard's segment holds all of
+    it before the call returns, and the next read folds it exactly."""
+    manifest = tmp_path / "index.ridx"
+    wal_dir = tmp_path / "wal"
+    shard_index(small_graph, manifest, 2)
+    nodes_added = {f"vn{i}": "ABCDEF"[i % 6] for i in range(12)}
+    edges_added = [(f"v{i}", f"vn{i % 12}", 1 + i % 4) for i in range(36)]
+    edges_removed = sorted((t, h) for t, h, _w in small_graph.edges())[:20]
+    records = records_from_updates(edges_added, edges_removed, nodes_added)
+    assert len(records) == 68
+    with ShardedMatchService.from_manifest(
+        manifest, wal_path=wal_dir
+    ) as service:
+        report = service.apply_updates(
+            edges_added=edges_added,
+            edges_removed=edges_removed,
+            nodes_added=nodes_added,
+        )
+        assert report["edges_added"] == 36
+        for segment in sorted(wal_dir.glob("shard-*.wal")):
+            assert scan_wal(segment).records == records
+        updated = small_graph.copy()
+        for node, label in nodes_added.items():
+            updated.add_node(node, label)
+        for edge in edges_added:
+            updated.add_edge(*edge)
+        for tail, head in edges_removed:
+            updated.remove_edge(tail, head)
+        fresh = MatchEngine(updated)
+        for query in FIXTURE_QUERIES:
             assert scores(service.top_k(query, 6)) == scores(
                 fresh.top_k(query, 6)
             )
@@ -239,6 +304,17 @@ def test_apply_updates_changes_shard_count(small_graph):
             )
         with pytest.raises(ServiceError):
             service.apply_updates(num_shards=0)
+
+
+def test_resize_parks_subgraphs_on_kept_workers(small_graph):
+    """A resize ships kept workers the same ``delta`` op as any update:
+    they fold on their next read, while a worker the resize adds boots
+    straight from its subgraph."""
+    with ShardedMatchService(small_graph, num_shards=2) as service:
+        service.apply_updates(num_shards=3)
+        shards = service.statistics(include_shards=True)["shards"]
+        folds = [entry["engine"]["delta"]["materializations"] for entry in shards]
+        assert folds == [1, 1, 0]
 
 
 def test_seeded_interleaved_schedules_match_fresh_rebuild(small_graph):

@@ -238,8 +238,7 @@ def test_delta_overlay_interleaving_matches_eager_rebuild(instance, k, data):
             service.apply_updates(labels_changed={node: label})
 
     with MatchService(
-        graph, backend="full", update_policy="delta", max_workers=1,
-        auto_compact=False,
+        graph, backend="full", max_workers=1, auto_compact=False,
     ) as service:
         steps = data.draw(
             st.lists(
