@@ -103,6 +103,75 @@ class TestDeltaPath:
             assert stats["materializations"] == 1
             assert stats["wal"]["appended_records"] == 80
 
+    def test_batches_accumulate_until_one_read_folds_them(self, graph):
+        """Every batch is logged, none folds on its own: three batches
+        before a read leave three pending records, and the one read folds
+        all of them at once."""
+        batches = ([(0, 1, 1)], [(2, 5, 2)], [(3, 9, 1)])
+        with MatchService(
+            graph, backend="full", max_workers=1, auto_compact=False,
+        ) as service:
+            for count, edges in enumerate(batches, start=1):
+                report = service.apply_updates(edges_added=edges)
+                assert report.epoch == count
+                assert report.pending_records == count
+            assert service.statistics()["delta"]["materializations"] == 0
+            mutated = graph.copy()
+            for edges in batches:
+                mutated.add_edge(*edges[0])
+            fresh = MatchEngine(mutated, backend="full")
+            stale = MatchEngine(graph, backend="full")
+            # Each batch moves one of these answers; a read that missed
+            # any pending record would differ from the fresh engine.
+            for query in (QUERY, "V0//V0", "V1//V0"):
+                assert exact(fresh.top_k(query, 40)) != exact(
+                    stale.top_k(query, 40)
+                )
+                assert exact(service.top_k(query, 40)) == exact(
+                    fresh.top_k(query, 40)
+                )
+            stats = service.statistics()
+            assert stats["updates_applied"] == 3
+            assert stats["delta"]["materializations"] == 1
+            assert stats["delta"]["pending_records"] == 0
+
+    def test_relabel_batch_folds_to_a_fresh_engine(self, graph):
+        """A relabel cannot be folded incrementally; the read that folds
+        it rebuilds, and answers as a fresh engine on the relabelled
+        graph would."""
+        node = min(
+            node for node in graph.nodes_with_label("V0")
+            if graph.out_degree(node)
+        )
+        with MatchService(
+            graph, backend="full", max_workers=1, auto_compact=False,
+        ) as service:
+            service.top_k(QUERY, 8)  # warm the result cache
+            report = service.apply_updates(labels_changed={node: "V1"})
+            assert report.labels_changed == 1
+            mutated = graph.copy()
+            mutated.relabel_node(node, "V1")
+            fresh = MatchEngine(mutated, backend="full")
+            stale = MatchEngine(graph, backend="full")
+            assert exact(fresh.top_k(QUERY, 8)) != exact(
+                stale.top_k(QUERY, 8)
+            )
+            for query in (QUERY, "V2//V1"):
+                assert exact(service.top_k(query, 8)) == exact(
+                    fresh.top_k(query, 8)
+                )
+
+    def test_empty_batch_is_refused_and_logs_nothing(self, family):
+        base, wal = family
+        with durable_service(base, wal) as service:
+            with pytest.raises(ServiceError, match="at least one change"):
+                service.apply_updates()
+            assert service.epoch == 0
+            stats = service.statistics()
+            assert stats["updates_applied"] == 0
+            assert stats["delta"]["wal"]["appended_records"] == 0
+        assert scan_wal(wal).records == ()
+
     def test_failed_batch_rolls_back_cleanly(self, graph):
         with MatchService(
             graph, backend="full", max_workers=1, auto_compact=False,
