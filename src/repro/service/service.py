@@ -201,6 +201,10 @@ class MatchService(_ServiceFront):
         # never handed out while still mutable.
         self._pending_graph = None
         self._pending_batches = 0
+        #: Logical epoch: the folded snapshot's epoch plus every pending
+        #: batch.  Stored once per accepted batch under ``_update_lock``
+        #: and untouched by the fold, so an unlocked read never tears.
+        self._epoch = self._snapshot.epoch
         self._compaction = (
             compaction if compaction is not None else CompactionPolicy()
         )
@@ -241,6 +245,7 @@ class MatchService(_ServiceFront):
         self._log.adopt(records)
         self._pending_graph = graph
         self._pending_batches = 1
+        self._epoch += 1
 
     @classmethod
     def from_index(cls, path, **kwargs) -> "MatchService":
@@ -291,7 +296,7 @@ class MatchService(_ServiceFront):
     @property
     def epoch(self) -> int:
         """Logical epoch: bumped by every update, folded or pending."""
-        return self._snapshot.epoch + self._pending_batches
+        return self._epoch
 
     def statistics(self) -> dict:
         """Serving counters: requests, cache hit rates, update history."""
@@ -446,20 +451,20 @@ class MatchService(_ServiceFront):
     def _absorb_locked(self) -> Snapshot:
         """Fold every pending delta batch into a fresh snapshot.
 
-        Caller holds ``_update_lock``.  The logical epoch advances by
-        exactly the number of pending batches, so epochs handed out by
-        :class:`UpdateReport`\\ s line up with the snapshots
-        readers eventually see.  The WAL is *not* truncated here — only
-        a compaction makes the fold durable (see :meth:`compact`).
+        Caller holds ``_update_lock``.  The new snapshot takes the
+        logical epoch every staged batch already advanced, so epochs
+        handed out by :class:`UpdateReport`\\ s line up with the
+        snapshots readers eventually see.  The WAL is *not* truncated
+        here — only a compaction makes the fold durable (see
+        :meth:`compact`).
         """
         old = self._snapshot
-        batches = self._pending_batches
-        if not batches:
+        if not self._pending_batches:
             return old
         records = self._log.drain()
         result = fold(old.engine, records, patched_graph=self._pending_graph)
         snapshot = Snapshot(
-            epoch=old.epoch + batches,
+            epoch=self._epoch,
             engine=result.engine,
             created_at=time.time(),
         )
@@ -503,6 +508,7 @@ class MatchService(_ServiceFront):
             raise
         self._pending_graph = graph
         self._pending_batches += 1
+        self._epoch += 1
 
     def apply_updates(
         self,

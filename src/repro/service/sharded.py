@@ -3,9 +3,9 @@
 Hosts each shard of a sharded index in its own ``multiprocessing``
 worker (always the ``spawn`` start method — fork is unsafe under the
 coordinator's threads) and answers queries by routing, scattering over
-the worker pipes in parallel, and merging the partial top-k replies
-with the same deterministic gather as
-:class:`~repro.shard.ShardedEngine`:
+the worker pipes (a single routed shard on the caller's thread, a
+fan-out in parallel), and merging the partial top-k replies with the
+same deterministic gather as :class:`~repro.shard.ShardedEngine`:
 
     from repro.service import ShardedMatchService
 
@@ -73,6 +73,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import repro.exceptions as _exceptions
@@ -366,6 +367,10 @@ class _ShardGroup:
     ):
         """One shard's partial answer ``(epoch, matches)``.
 
+        The worker is sent ``compiled.tree`` and replies with
+        ``(score, nodes)`` rows in the tree's breadth-first order; each
+        row becomes a :class:`Match` whose assignment follows that order.
+
         Tries replicas until one answers: non-final attempts get at most
         half the remaining deadline budget, so a hung replica still
         leaves its peer enough time to answer; the final attempt gets
@@ -415,7 +420,10 @@ class _ShardGroup:
                 continue
             if reply[0] == "error":
                 raise _worker_error(self.index, reply[1], reply[2])
-            return reply[1], reply[2]
+            order = compiled.tree.bfs_order()
+            return reply[1], [
+                Match(dict(zip(order, nodes)), score) for score, nodes in reply[2]
+            ]
         raise last_error  # pragma: no cover - loop always raises/returns
 
     def _attempt(
@@ -428,15 +436,16 @@ class _ShardGroup:
         restart_inline: bool,
     ):
         incarnation = worker.incarnation
+        payload = (compiled.tree, k, algorithm)
         try:
-            return worker.call("query", (compiled, k, algorithm), expires_at)
+            return worker.call("query", payload, expires_at)
         except ShardUnavailableError:
             if not restart_inline:
                 raise
             with worker.lock:
                 if worker.incarnation == incarnation:
                     worker.restart()
-            return worker.call("query", (compiled, k, algorithm), expires_at)
+            return worker.call("query", payload, expires_at)
 
     # -- writes ---------------------------------------------------------
     def broadcast(self, payload: tuple, boot: dict) -> None:
@@ -868,24 +877,22 @@ class ShardedMatchService(_ServiceFront):
         groups = self._shards
         if any(shard >= len(groups) for shard in targets):
             return self._epoch, [], targets, (), False
-        futures = {
-            shard: self._fanout.submit(
-                groups[shard].query,
-                compiled,
-                k,
-                algorithm,
-                expires_at,
-                self.restart_workers,
-            )
-            for shard in targets
-        }
+        # The first target is served on the caller's thread (a single
+        # routed shard never touches the pool); the rest fan out.  Replies
+        # are gathered in target order either way.
+        args = (compiled, k, algorithm, expires_at, self.restart_workers)
+        first, *rest = targets
+        calls = [(first, partial(groups[first].query, *args))] + [
+            (shard, self._fanout.submit(groups[shard].query, *args).result)
+            for shard in rest
+        ]
         partials: list[list[Match]] = []
         epochs: set[int] = set()
         failed: list[int] = []
         first_error: Exception | None = None
-        for shard, future in futures.items():
+        for shard, answer in calls:
             try:
-                epoch, matches = future.result()
+                epoch, matches = answer()
                 epochs.add(epoch)
                 partials.append(matches)
             except ShardUnavailableError as exc:

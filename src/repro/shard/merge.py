@@ -27,9 +27,13 @@ deeper enumeration in any shard.
 from __future__ import annotations
 
 import heapq
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.matches import Match
+
+
+_first = itemgetter(0)
 
 
 def assignment_key(match: Match) -> tuple:
@@ -42,21 +46,61 @@ def match_key(match: Match) -> tuple:
     return (match.score, assignment_key(match))
 
 
+def _pair_order(query_nodes: tuple) -> tuple | None:
+    """``query_nodes`` in the order :func:`assignment_key` sorts their
+    pairs, or ``None`` when the data nodes could decide that order.
+
+    ``repr((q, d))`` is ``"(" + repr(q) + ", " + repr(d) + ")"``, so two
+    pairs compare as their query nodes' reprs do unless one of those
+    reprs is equal to or a prefix of the other.  Sorted adjacent reprs
+    are enough to rule out every such pair.
+    """
+    reprs = sorted(map(repr, query_nodes))
+    if any(longer.startswith(shorter) for shorter, longer in zip(reprs, reprs[1:])):
+        return None
+    return tuple(sorted(query_nodes, key=repr))
+
+
+def _keyed_run(partial: Sequence[Match], orders: dict) -> list[tuple]:
+    """``(match_key(match), match)`` pairs sorted by key.
+
+    The matches of one query share their query nodes, so the ``repr``
+    sort of the pairs is done once per distinct node tuple (cached in
+    ``orders``) and each key is built by indexing the assignment in that
+    order; the key equals :func:`match_key`'s.
+    """
+    run = []
+    for match in partial:
+        assignment = match.assignment
+        names = tuple(assignment)
+        if names not in orders:
+            orders[names] = _pair_order(names)
+        order = orders[names]
+        if order is None:
+            key = match_key(match)
+        else:
+            key = (match.score, tuple([(name, assignment[name]) for name in order]))
+        run.append((key, match))
+    run.sort(key=_first)
+    return run
+
+
 def merge_topk(partials: Sequence[Sequence[Match]], k: int) -> list[Match]:
     """The global top-k of several per-shard top-k lists.
 
     Each partial must already be score-sorted (engine output is); the
     merge is a k-way heap over key-sorted runs with adjacent dedup, so
     the result is deterministic regardless of how many shards produced
-    which subsets.
+    which subsets.  Every match's :func:`match_key` is computed once and
+    carried through the sort, the heap and the dedup as ``(key, match)``.
     """
     if k <= 0:
         return []
-    runs = [sorted(partial, key=match_key) for partial in partials if partial]
+    orders: dict = {}
+    runs = [_keyed_run(partial, orders) for partial in partials if partial]
     merged: list[Match] = []
     previous_key = None
-    for match in heapq.merge(*runs, key=match_key):
-        key = match_key(match)
+    for key, match in heapq.merge(*runs, key=_first):
         if key == previous_key:
             continue
         previous_key = key

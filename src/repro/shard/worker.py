@@ -16,12 +16,21 @@ Protocol (requests are ``(op, *payload)`` tuples; replies are
 op           payload                                        ok-reply
 ===========  =============================================  ==============
 ``ping``     —                                              ``epoch``
-``query``    ``compiled, k, algorithm``                     ``epoch, matches``
+``query``    ``tree, k, algorithm``                         ``epoch, rows``
 ``delta``    ``epoch, subgraph``                            ``epoch``
 ``compact``  —                                              ``epoch``
 ``stats``    —                                              ``stats dict``
 ``exit``     —                                              ``None`` (then exit)
 ===========  =============================================  ==============
+
+A ``query`` ships the physical :class:`~repro.graph.query.QueryTree`
+(the caller's node ids intact), which the worker re-wraps with
+:func:`~repro.query.compiler.compile_query`; it answers with one
+``(score, nodes)`` row per match, ``nodes`` listing the data nodes in
+the tree's breadth-first order, from which the coordinator rebuilds each
+:class:`~repro.core.matches.Match` (assignment in that same order).  Both
+forms pickle to less than half the bytes of a ``CompiledQuery`` (which
+carries its AST) and of a list of ``Match`` objects.
 
 Every ``query`` reply carries the worker's current epoch, which is how
 the coordinator detects a request that raced an ``apply_updates`` call
@@ -66,6 +75,7 @@ def worker_main(conn, boot: dict) -> None:
     """
     from repro.delta.view import fold_graph
     from repro.engine.core import MatchEngine
+    from repro.query.compiler import compile_query
 
     try:
         if boot["mode"] == "file":
@@ -101,9 +111,14 @@ def worker_main(conn, boot: dict) -> None:
             if op == "ping":
                 reply = ("ok", epoch)
             elif op == "query":
-                compiled, k, algorithm = payload
-                matches = engine.top_k(compiled, k, algorithm=algorithm)
-                reply = ("ok", epoch, matches)
+                tree, k, algorithm = payload
+                order = tree.bfs_order()
+                matches = engine.top_k(compile_query(tree), k, algorithm=algorithm)
+                rows = [
+                    (match.score, tuple(map(match.assignment.__getitem__, order)))
+                    for match in matches
+                ]
+                reply = ("ok", epoch, rows)
             elif op == "delta":
                 # Park the target subgraph and become the new epoch now;
                 # the expensive fold happens on the next read, off the

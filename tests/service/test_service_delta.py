@@ -135,6 +135,33 @@ class TestDeltaPath:
             assert stats["delta"]["materializations"] == 1
             assert stats["delta"]["pending_records"] == 0
 
+    def test_epoch_read_inside_the_fold_is_the_logical_epoch(self, graph):
+        """The fold installs the new snapshot before it clears the
+        pending state; an unlocked ``epoch`` read in between must still
+        see the logical epoch, never the old snapshot's epoch plus the
+        batches counted a second time."""
+        seen = []
+
+        class Probe(MatchService):
+            def __setattr__(self, name, value):
+                # The fold clears the pending graph after it installed
+                # the folded snapshot.
+                if name == "_pending_graph" and value is None and getattr(
+                    self, "_pending_batches", 0
+                ):
+                    seen.append((self.epoch, self.statistics()["epoch"]))
+                super().__setattr__(name, value)
+
+        with Probe(
+            graph, backend="full", max_workers=1, auto_compact=False,
+        ) as service:
+            service.apply_updates(edges_added=[(0, 1, 1)])
+            service.apply_updates(edges_added=[(2, 5, 2)])
+            assert service.epoch == 2
+            assert service.request(QUERY, 5).epoch == 2
+            assert seen == [(2, 2)]
+            assert service.epoch == service.statistics()["epoch"] == 2
+
     def test_relabel_batch_folds_to_a_fresh_engine(self, graph):
         """A relabel cannot be folded incrementally; the read that folds
         it rebuilds, and answers as a fresh engine on the relabelled

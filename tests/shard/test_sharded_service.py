@@ -20,6 +20,8 @@ from repro.exceptions import (
     ServiceError,
     ShardUnavailableError,
 )
+from repro.graph.query import QueryTree
+from repro.query.compiler import ContainsLabel, compile_query
 from repro.service import MatchService, ShardedMatchService
 from repro.shard import shard_index
 from repro.twig.semantics import ContainmentMatcher
@@ -415,3 +417,144 @@ def test_constructor_validation(small_graph):
         ShardedMatchService(small_graph, on_shard_failure="explode")
     with pytest.raises(ServiceError):
         ShardedMatchService(small_graph, max_workers=0)
+
+
+# ----------------------------------------------------------------------
+# The single-target path: one routed shard is served on the caller's
+# thread, so the fan-out pool must never see it.
+# ----------------------------------------------------------------------
+
+
+def forbid_fanout(monkeypatch, service):
+    """Make any use of the scatter pool fail the test."""
+
+    def submit(*args, **kwargs):
+        raise AssertionError("a single-target request used the fan-out pool")
+
+    monkeypatch.setattr(service._fanout, "submit", submit)
+
+
+def single_target_query(service):
+    query = QUERIES[0]
+    assert len(service.route(query)) == 1
+    return query
+
+
+def test_single_target_is_served_inline(small_graph, flat, monkeypatch):
+    with ShardedMatchService(small_graph, num_shards=2) as service:
+        forbid_fanout(monkeypatch, service)
+        query = single_target_query(service)
+        response = service.request(query, 6)
+        assert scores(response.matches) == scores(flat.top_k(query, 6))
+        assert response.shards_routed == service.route(query)
+        # submit() runs the request on a pool thread; the shard call
+        # still happens on that thread, not on the fan-out pool.
+        assert scores(service.submit(query, 6).result(60).matches) == scores(
+            flat.top_k(query, 6)
+        )
+
+
+def test_single_target_fails_over_to_a_peer(small_graph, flat, monkeypatch):
+    with ShardedMatchService(
+        small_graph, num_shards=2, replication=2, restart_workers=False
+    ) as service:
+        forbid_fanout(monkeypatch, service)
+        query = single_target_query(service)
+        group = service._shards[service.route(query)[0]]
+        # Break the pipe of the replica the rotation tries first: the
+        # attempt fails and the peer answers the same request.
+        group.replicas[group._rr].conn.close()
+        assert scores(service.top_k(query, 6)) == scores(flat.top_k(query, 6))
+        assert group.failovers == 1
+
+
+def test_single_target_restarts_a_killed_worker(small_graph, flat, monkeypatch):
+    with ShardedMatchService(
+        small_graph, num_shards=2, restart_workers=True
+    ) as service:
+        forbid_fanout(monkeypatch, service)
+        query = single_target_query(service)
+        worker = service._shards[service.route(query)[0]].replicas[0]
+        worker.process.kill()
+        worker.process.join(timeout=10)
+        assert scores(service.top_k(query, 6)) == scores(flat.top_k(query, 6))
+        assert service.statistics()["worker_restarts"] == 1
+
+
+def test_single_target_down_raises_even_when_degrading(small_graph, monkeypatch):
+    with ShardedMatchService(
+        small_graph, num_shards=2, on_shard_failure="degrade",
+        restart_workers=False,
+    ) as service:
+        forbid_fanout(monkeypatch, service)
+        query = single_target_query(service)
+        worker = service._shards[service.route(query)[0]].replicas[0]
+        worker.process.kill()
+        worker.process.join(timeout=10)
+        with pytest.raises(ShardUnavailableError):
+            service.request(query, 5)
+        assert service.statistics()["degraded_responses"] == 0
+
+
+def test_single_target_expired_deadline_raises(small_graph, monkeypatch):
+    with ShardedMatchService(small_graph, num_shards=2) as service:
+        forbid_fanout(monkeypatch, service)
+        query = single_target_query(service)
+        with pytest.raises(DeadlineExceededError):
+            service.request(query, 3, deadline=1e-9)
+        assert service.top_k(query, 3)
+
+
+# ----------------------------------------------------------------------
+# Wire forms: the worker gets the physical tree and answers with rows.
+# ----------------------------------------------------------------------
+
+
+def comparable(matches, k):
+    """Exact scores plus the assignment set below a full answer's
+    boundary score (tied boundary matches may legitimately differ)."""
+    boundary = matches[-1].score if len(matches) == k and matches else None
+    certain = frozenset(
+        (m.score, tuple(sorted(m.assignment.items(), key=repr)))
+        for m in matches
+        if boundary is None or m.score < boundary
+    )
+    return [m.score for m in matches], certain
+
+
+def assert_wire_round_trip(service, flat_engine, query, k):
+    tree = compile_query(query).tree
+    order = list(tree.bfs_order())
+    got = service.top_k(query, k)
+    assert got, "the query must have matches to check"
+    assert comparable(got, k) == comparable(flat_engine.top_k(query, k), k)
+    for match in got:
+        assert list(match.assignment) == order
+
+
+def test_query_tree_with_int_node_ids(small_graph, flat):
+    tree = QueryTree({0: "A", 1: "B", 2: "C"}, [(0, 1), (0, 2)])
+    with ShardedMatchService(small_graph, num_shards=2) as service:
+        assert_wire_round_trip(service, flat, tree, 6)
+
+
+def test_query_tree_with_tuple_node_ids(small_graph, flat):
+    tree = QueryTree(
+        {("q", 0): "B", ("q", 1): "C", ("q", 2): "D"},
+        [(("q", 0), ("q", 2)), (("q", 0), ("q", 1))],
+    )
+    with ShardedMatchService(small_graph, num_shards=2) as service:
+        assert_wire_round_trip(service, flat, tree, 6)
+
+
+def test_containment_query_fans_out_over_the_wire():
+    graph = containment_graph()
+    flat_engine = MatchEngine(graph)
+    tree = QueryTree(
+        {(0, "root"): ContainsLabel(("A",)), (1, "leaf"): "B"},
+        [((0, "root"), (1, "leaf"))],
+    )
+    with ShardedMatchService(graph, num_shards=4) as service:
+        for query in ("~A//B", tree):
+            assert len(service.route(query)) == 2, "containment must scatter"
+            assert_wire_round_trip(service, flat_engine, query, 8)
