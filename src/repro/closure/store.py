@@ -35,7 +35,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from itertools import compress
+from itertools import compress, repeat
+from operator import itemgetter, sub
 from typing import Iterator, Sequence
 
 from repro.closure.transitive import TransitiveClosure
@@ -57,6 +58,8 @@ LEntry = tuple[NodeId, float, bool]
 DEntry = tuple[NodeId, float]
 #: Entry of an ``E`` table: (source node, target node, distance).
 EEntry = tuple[NodeId, NodeId, float]
+
+_first, _second, _third, _fourth = map(itemgetter, range(4))
 
 
 def _fmt(label: Label) -> str:
@@ -109,47 +112,22 @@ class _PairTable:
         "e_tails", "e_heads", "e_dists", "_blocks", "_leaf", "_leaf_direct",
     )
 
-    def __init__(self, entries: list[tuple[int, float, int, int]]) -> None:
-        # entries: (head, dist, tail, is_direct), sorted by (head, dist, tail).
-        self.tails = array("i", (e[2] for e in entries))
-        self.dists = array("d", (e[1] for e in entries))
-        self.direct = bytearray(e[3] for e in entries)
-        self.heads = array("i")
-        self.offsets = array("i")
-        best_out: dict[int, tuple[float, int]] = {}
-        previous_head = None
-        for position, (head, dist, tail, _) in enumerate(entries):
-            if head != previous_head:
-                self.heads.append(head)
-                self.offsets.append(position)
-                previous_head = head
-            candidate = (dist, head)
-            current = best_out.get(tail)
-            if current is None or candidate < current:
-                best_out[tail] = candidate
-        self.offsets.append(len(self.tails))
-        self.e_tails = array("i", sorted(best_out))
-        self.e_dists = array("d", (best_out[t][0] for t in self.e_tails))
-        self.e_heads = array("i", (best_out[t][1] for t in self.e_tails))
-        self._blocks = self._leaf = self._leaf_direct = None
-
-    @classmethod
-    def from_columns(
-        cls, tails, dists, direct, heads, offsets, e_tails, e_heads, e_dists
-    ) -> "_PairTable":
-        """Adopt already-built columns (the mmap persistence fast path).
+    def __init__(
+        self, tails, dists, direct, heads, offsets, e_tails, e_heads, e_dists
+    ) -> None:
+        """Adopt built columns: laid out by
+        :meth:`ClosureStore._build_tail_label`, or opened by the mmap
+        persistence fast path.
 
         The buffers may be ``array``/``bytearray`` objects or read-only
         memoryviews over an ``mmap`` section: every read path only
         indexes, slices, and bisects them, so mapped tables page in per
         block read without any decode-at-open cost.
         """
-        self = cls.__new__(cls)
         self.tails, self.dists, self.direct = tails, dists, direct
         self.heads, self.offsets = heads, offsets
         self.e_tails, self.e_heads, self.e_dists = e_tails, e_heads, e_dists
         self._blocks = self._leaf = self._leaf_direct = None
-        return self
 
     @property
     def num_entries(self) -> int:
@@ -224,7 +202,19 @@ class _PairTable:
 
 
 class ClosureStore:
-    """Metered, block-organized view of a transitive closure."""
+    """Metered, block-organized view of a transitive closure.
+
+    Built from ``closure`` alone, every pair table is laid out afresh.
+    A refresh passes the store of the closure it was refreshed from as
+    ``base`` and the ``dirty_pairs`` of
+    :meth:`TransitiveClosure.refreshed`: the new store then adopts every
+    table of ``base`` outside ``dirty_pairs`` (with its memoized views)
+    and lays out only the dirty ones, a full build being the case where
+    every pair is dirty.  It also keeps the composed views of ``base``
+    that read no dirty pair.  ``dirty_pairs=None``, a different interner
+    object (the ids moved) or a different block size builds every table.
+    Tables are byte-identical to a fresh build either way.
+    """
 
     def __init__(
         self,
@@ -232,23 +222,44 @@ class ClosureStore:
         closure: TransitiveClosure,
         block_size: int = DEFAULT_BLOCK_SIZE,
         counter: IOCounter | None = None,
+        *,
+        base: "ClosureStore | None" = None,
+        dirty_pairs: frozenset | None = None,
     ) -> None:
+        self._attach(graph, closure, block_size, counter)
+        # Tail label -> its dirty head labels (``None``: every one).
+        dirty: dict = {}
+        if (
+            base is None
+            or dirty_pairs is None
+            or base._interner is not self._interner
+            or base.directory.block_size != block_size
+        ):
+            base = None
+            dirty = dict.fromkeys(self._interner.labels())
+        else:
+            for alpha, beta in dirty_pairs:
+                dirty.setdefault(alpha, set()).add(beta)
+        self._pair_tables = self._build(base, dirty)
+        if base is not None:
+            self._carry_views(base, dirty)
+
+    def _attach(self, graph, closure, block_size, counter) -> None:
+        """Every field but the tables; memos start empty."""
         self._graph = graph
         self._closure = closure
         self._interner = closure.interner
         self.directory = TableDirectory(counter=counter, block_size=block_size)
         self.counter = self.directory.counter
-
-        # (tail_label, head_label) -> columnar pair table.
+        # (tail_label, head_label) -> columnar pair table, in label id order.
         self._pair_tables: dict[tuple[Label, Label], _PairTable] = {}
-        # head id -> set of tail labels with a non-empty group.
-        self._tail_labels_of: dict[int, set[Label]] = {}
+        # head id -> set of tail labels with a non-empty group; built on
+        # first use (:meth:`_tail_label_index`).
+        self._tail_labels_of: dict[int, set[Label]] | None = None
         # (tail labels, head labels, direct_only) -> composed edge views.
         self._edge_views: dict = {}
         # (expanded tail labels, direct_only) -> head label -> joined view.
         self._joined: dict = {}
-
-        self._build()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -275,72 +286,151 @@ class ClosureStore:
     ) -> "ClosureStore":
         """Adopt already-laid-out pair tables (the mmap persistence path).
 
-        Skips :meth:`_build` entirely: the tables' columns slice straight
+        Skips the layout entirely: the tables' columns slice straight
         out of whatever buffers they were opened over (typically an
-        ``mmap``), so opening a store costs O(groups) directory work, not
+        ``mmap``), so opening a store costs O(tables) directory work, not
         O(pairs log pairs) layout work.
         """
         self = cls.__new__(cls)
-        self._graph = graph
-        self._closure = closure
-        self._interner = closure.interner
-        self.directory = TableDirectory(counter=counter, block_size=block_size)
-        self.counter = self.directory.counter
+        self._attach(graph, closure, block_size, counter)
         self._pair_tables = dict(pair_tables)
-        self._tail_labels_of = {}
-        self._edge_views = {}
-        self._joined = {}
-        for (alpha, _beta), table in self._pair_tables.items():
-            for head_id in table.heads:
-                self._tail_labels_of.setdefault(head_id, set()).add(alpha)
         return self
 
-    def _build(self) -> None:
+    def _build(self, base: "ClosureStore | None", dirty: dict) -> dict:
+        """The pair tables in ``(tail label, head label)`` id order:
+        ``base``'s table for every clean pair, a fresh one for every
+        dirty pair (``dirty`` maps a tail label to its dirty head labels,
+        ``None`` for all of them), built in one pass over the rows of
+        each dirty tail label."""
         interner = self._interner
-        cgraph = self._closure.compact_graph
+        tables = {}
+        if base is not None:
+            tables = {
+                pair: table
+                for pair, table in base._pair_tables.items()
+                if pair[1] not in dirty.get(pair[0], ())
+            }
+        # The first id of each id's label: where its head label starts.
+        label_start = array("i")
+        for _label, id_range in interner.label_ranges():
+            label_start.extend(repeat(id_range.start, len(id_range)))
+        for alpha, heads in dirty.items():
+            tables.update(self._build_tail_label(alpha, heads, label_start))
+        position = {label: index for index, label in enumerate(interner.labels())}
+        return dict(
+            sorted(
+                tables.items(),
+                key=lambda item: (position[item[0][0]], position[item[0][1]]),
+            )
+        )
+
+    def _build_tail_label(self, alpha: Label, heads: set | None, label_start: array) -> dict:
+        """Fresh tables of ``alpha`` for the head labels ``heads`` (every
+        head label when ``None``) that some ``alpha`` row reaches.
+
+        The rows' entries for those labels are sorted once by ``(head,
+        dist, tail)``, which also orders them by head label, and so are
+        their groups and their per ``(head label, tail)`` minimum
+        outgoing edges; each table's columns are slices of these runs.
+        Every step is a C-level pass over the tail label's entries, and a
+        table costs a few slices."""
+        interner = self._interner
         rows = self._closure.rows
-        label_of = interner.label_of
+        cgraph = self._closure.compact_graph
         out_offsets, out_targets = cgraph.out_offsets, cgraph.out_targets
-        ranges = list(interner.label_ranges())
-        # Pure integer sort keys end to end: (head, dist, tail) — within a
-        # label, id order equals the repr order the dict layout sorted by.
-        buckets: dict[tuple[Label, Label], list[tuple[int, float, int, int]]] = {}
-        for source_id in rows.sources():
-            targets, dists = rows.row(source_id)
-            row_len = len(targets)
-            if not row_len:
+        ranges = [
+            (beta, id_range)
+            for beta, id_range in interner.label_ranges()
+            if heads is None or beta in heads
+        ]
+        keep = None
+        if heads is not None:
+            keep = bytearray(len(interner))
+            for _beta, id_range in ranges:
+                keep[id_range.start : id_range.stop] = b"\x01" * len(id_range)
+        run: list[tuple[int, float, int, int]] = []
+        for source_id in interner.label_range(alpha):
+            row = rows.row(source_id)
+            if not row or not row[0]:
                 continue
-            alpha = label_of(source_id)
-            # Direct-edge flags for the whole row in one merge walk: both
-            # the row targets and the CSR out-neighbors are id-sorted.
-            flags = bytearray(row_len)
-            walk = out_offsets[source_id]
-            out_hi = out_offsets[source_id + 1]
-            for k in range(row_len):
-                target_id = targets[k]
-                while walk < out_hi and out_targets[walk] < target_id:
-                    walk += 1
-                if walk < out_hi and out_targets[walk] == target_id:
-                    flags[k] = 1
-            for beta, id_range in ranges:
-                lo = bisect_left(targets, id_range.start)
-                hi = bisect_left(targets, id_range.stop)
-                if hi <= lo:
-                    continue
-                buckets.setdefault((alpha, beta), []).extend(
-                    zip(
-                        targets[lo:hi],
-                        dists[lo:hi],
-                        (source_id,) * (hi - lo),
-                        flags[lo:hi],
-                    )
-                )
-        for pair, bucket in buckets.items():
-            bucket.sort()
-            table = _PairTable(bucket)
-            self._pair_tables[pair] = table
-            for head_id in table.heads:
-                self._tail_labels_of.setdefault(head_id, set()).add(pair[0])
+            targets, dists = row
+            # Direct-edge flags: a CSR out-neighbor membership test per
+            # target, mapped in C.
+            out = set(out_targets[out_offsets[source_id] : out_offsets[source_id + 1]])
+            entries = zip(
+                targets,
+                dists,
+                repeat(source_id, len(targets)),
+                map(out.__contains__, targets),
+            )
+            if keep is not None:
+                entries = compress(entries, map(keep.__getitem__, targets))
+            run.extend(entries)
+        if not run:
+            return {}
+        run.sort()
+        head_column = list(map(_first, run))
+        tails = array("i", map(_third, run))
+        dists = array("d", map(_second, run))
+        direct = bytearray(map(_fourth, run))
+        group_heads = list(dict.fromkeys(head_column))
+        group_starts = list(map(bisect_left, repeat(head_column), group_heads))
+        group_starts.append(len(run))
+        # E: walking entries in descending (dist, head) order, the last
+        # store under a (head label, tail) key is that tail's minimum.
+        descending = sorted(zip(dists, head_column, tails), reverse=True)
+        best = dict(
+            zip(zip(map(label_start.__getitem__, map(_second, descending)),
+                    map(_third, descending)),
+                descending)
+        )
+        e_keys = sorted(best)
+        e_label_starts = list(map(_first, e_keys))
+        minima = list(map(best.__getitem__, e_keys))
+        e_tails = array("i", map(_second, e_keys))
+        e_dists = array("d", map(_first, minima))
+        e_heads = array("i", map(_second, minima))
+        tables = {}
+        for beta, id_range in ranges:
+            g_lo = bisect_left(group_heads, id_range.start)
+            g_hi = bisect_left(group_heads, id_range.stop, g_lo)
+            if g_hi == g_lo:
+                continue
+            lo, hi = group_starts[g_lo], group_starts[g_hi]
+            e_lo = bisect_left(e_label_starts, id_range.start)
+            e_hi = bisect_left(e_label_starts, id_range.stop, e_lo)
+            offsets = array("i", map(sub, group_starts[g_lo : g_hi + 1], repeat(lo)))
+            tables[(alpha, beta)] = _PairTable(
+                tails[lo:hi], dists[lo:hi], direct[lo:hi],
+                array("i", group_heads[g_lo:g_hi]), offsets,
+                e_tails[e_lo:e_hi], e_heads[e_lo:e_hi], e_dists[e_lo:e_hi],
+            )
+        return tables
+
+    def _carry_views(self, base: "ClosureStore", dirty: dict) -> None:
+        """Keep ``base``'s composed edge views and joined views that read
+        no dirty pair (a wildcard side reads every label): they are built
+        from adopted tables only, so their views and the opens, entries
+        and blocks they meter are this store's too.  The memos are copied
+        before filtering, since readers of ``base`` may still add to them."""
+
+        def clean(tail_labels, head_labels) -> bool:
+            for alpha in dirty if tail_labels is None else tail_labels:
+                heads = dirty.get(alpha)
+                if heads and (head_labels is None or not heads.isdisjoint(head_labels)):
+                    return False
+            return True
+
+        self._edge_views = {
+            key: memo
+            for key, memo in base._edge_views.copy().items()
+            if clean(key[0], key[1])
+        }
+        self._joined = {
+            key: joined
+            for key, joined in base._joined.copy().items()
+            if clean(key[0], None)
+        }
 
     # ------------------------------------------------------------------
     # Structural lookups (directory metadata, unmetered)
@@ -398,7 +488,21 @@ class ClosureStore:
         head_id = self._interner.get(head)
         if head_id is None:
             return frozenset()
-        return frozenset(self._tail_labels_of.get(head_id, ()))
+        return frozenset(self._tail_label_index().get(head_id, ()))
+
+    def _tail_label_index(self) -> dict[int, set[Label]]:
+        """Head id -> tail labels with a group into it, built on first
+        use (only :meth:`tail_labels_of` and wildcard
+        :meth:`incoming_group` read it).  Racing first calls may build it
+        twice; one attribute store publishes it."""
+        index = self._tail_labels_of
+        if index is None:
+            index = {}
+            for (alpha, _beta), table in self._pair_tables.items():
+                for head_id in table.heads:
+                    index.setdefault(head_id, set()).add(alpha)
+            self._tail_labels_of = index
+        return index
 
     # ------------------------------------------------------------------
     # Metered reads
@@ -452,7 +556,7 @@ class ClosureStore:
             )
         merged: list[LEntry] = []
         if head_id is not None:
-            for alpha in self._tail_labels_of.get(head_id, ()):
+            for alpha in self._tail_label_index().get(head_id, ()):
                 table = self._pair_tables[
                     (alpha, self._interner.label_of(head_id))
                 ]

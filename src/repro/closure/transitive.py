@@ -19,6 +19,7 @@ import time
 from array import array
 from bisect import bisect_left
 from collections.abc import Mapping as MappingABC
+from itertools import repeat
 from typing import Iterable, Iterator, Mapping
 
 from repro.compact import ClosureRows, CompactGraph, NodeInterner
@@ -156,7 +157,7 @@ class TransitiveClosure:
         self,
         graph: LabeledDiGraph,
         changed_tails: Iterable[NodeId],
-    ) -> tuple["TransitiveClosure", int, frozenset]:
+    ) -> tuple["TransitiveClosure", int, frozenset, frozenset | None]:
         """An updated closure over ``graph``, reusing unaffected rows.
 
         ``changed_tails`` are the tail endpoints of every added or removed
@@ -167,12 +168,22 @@ class TransitiveClosure:
         are immutable and shared, not copied).  New nodes of ``graph`` get
         fresh rows.
 
-        Returns ``(closure, rows_recomputed, affected_labels)`` where
-        ``affected_labels`` is the set of labels of nodes involved in any
-        pair whose distance actually changed — the selective cache
-        invalidation signal of the serving layer.  Only full (non-partial)
-        closures support refresh; partial ones must be rebuilt against
-        their source set.
+        Returns ``(closure, rows_recomputed, affected_labels,
+        dirty_pairs)``.  ``affected_labels`` is the set of labels of nodes
+        involved in any pair whose distance actually changed — the
+        selective cache invalidation signal of the serving layer.
+        ``dirty_pairs`` is the set of ``(tail label, head label)`` pairs
+        whose :class:`~repro.closure.store.ClosureStore` pair tables can
+        differ from this closure's: a recomputed row dirties the pair of
+        every head whose distance changed, and the row of a changed tail
+        dirties the pair of every head it had or has, because its direct
+        flags moved.  It is ``None`` when the interned ids moved (a node
+        was added or left), which leaves no table reusable.  When they did
+        not move the refreshed closure keeps this closure's
+        :class:`NodeInterner` object, so its memoized ``repr_rank`` and
+        label expansions stay shared.  Only full (non-partial) closures
+        support refresh; partial ones must be rebuilt against their
+        source set.
         """
         if self._partial:
             raise ClosureError(
@@ -181,25 +192,32 @@ class TransitiveClosure:
             )
         changed = set(changed_tails)
         new_interner = NodeInterner.from_graph(graph)
-        new_compact = CompactGraph(graph, new_interner)
         old_interner = self._interner
         same_universe = old_interner.same_universe(new_interner)
+        if same_universe:
+            new_interner = old_interner
+        new_compact = CompactGraph(graph, new_interner)
         changed_old = {old_interner.get(t) for t in changed}
         changed_old.discard(None)
         old_to_new: list[int | None] | None = None
-        if not same_universe:
+        if same_universe:
+            label_of_id = [
+                label for label, id_range in new_interner.label_ranges() for _ in id_range
+            ]
+        else:
             old_to_new = [new_interner.get(n) for n in old_interner.nodes()]
         label = graph.label
         rows: dict[int, tuple[array, array]] = {}
         recomputed = 0
         affected: set = set()
+        dirty: set = set()
         for source_id in range(len(new_interner)):
             node = new_interner.resolve(source_id)
             old_id = old_interner.get(node)
             old_row = self._rows.row(old_id) if old_id is not None else None
             if old_row is not None and old_id not in changed_old:
                 targets, _ = old_row
-                if not any(t in changed_old for t in targets):
+                if changed_old.isdisjoint(targets):
                     carried = (
                         old_row
                         if same_universe
@@ -217,8 +235,12 @@ class TransitiveClosure:
                 else None
             )
             new_decoded = _decode_row(new_interner, new_row)
+            tail_label = label(node)
+            if same_universe and old_id in changed_old:
+                for heads in (old_row[0], new_row[0]):
+                    dirty.update(zip(repeat(tail_label), map(label_of_id.__getitem__, heads)))
             if old_decoded != new_decoded:
-                affected.add(label(node))
+                affected.add(tail_label)
                 old_decoded = old_decoded or {}
                 for head in old_decoded.keys() | new_decoded.keys():
                     if old_decoded.get(head) != new_decoded.get(head):
@@ -226,13 +248,16 @@ class TransitiveClosure:
                         # updates are edge-level, so it has not — but stay
                         # defensive and skip labels of vanished nodes.
                         if head in graph:
-                            affected.add(label(head))
+                            head_label = label(head)
+                            affected.add(head_label)
+                            dirty.add((tail_label, head_label))
         return (
             TransitiveClosure._from_rows(
                 graph, new_interner, new_compact, ClosureRows(rows)
             ),
             recomputed,
             frozenset(affected),
+            frozenset(dirty) if same_universe else None,
         )
 
     # ------------------------------------------------------------------
@@ -360,8 +385,7 @@ def _decode_row(
     interner: NodeInterner, row: tuple[array, array]
 ) -> dict[NodeId, float]:
     targets, dists = row
-    resolve = interner.resolve
-    return {resolve(targets[k]): dists[k] for k in range(len(targets))}
+    return dict(zip(map(interner.nodes().__getitem__, targets), dists))
 
 
 def _remap_row(

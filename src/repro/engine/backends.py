@@ -184,19 +184,26 @@ class FullClosureBackend(_BackendBase):
         edges_added: tuple = (),
         edges_removed: tuple = (),
     ) -> BackendRefresh:
-        """Incremental refresh: recompute only the affected closure rows.
+        """Incremental refresh: recompute only the affected closure rows,
+        and lay out only the pair tables they touch.
 
         A source row changes only if it can reach the tail of a changed
         edge, so :meth:`TransitiveClosure.refreshed` carries every other
         row over verbatim and reports exactly which labels saw a distance
-        change — the selective result-cache invalidation signal.
+        change — the selective result-cache invalidation signal.  It also
+        reports the label pairs whose tables those rows touch; the new
+        :class:`ClosureStore` adopts every other table of this one, with
+        its memoized views, and rebuilds only those.  When a node joins or
+        leaves, the interned ids move and every table is rebuilt.
         """
         changed_tails = {
             edge[0] for edge in tuple(edges_added) + tuple(edges_removed)
         }
-        closure, rows, affected = self._closure.refreshed(graph, changed_tails)
+        closure, rows, affected, dirty = self._closure.refreshed(graph, changed_tails)
         return BackendRefresh(
-            backend=FullClosureBackend(graph, config, closure=closure),
+            backend=FullClosureBackend(
+                graph, config, closure=closure, base_store=self._store, dirty_pairs=dirty
+            ),
             incremental=True,
             rows_recomputed=rows,
             affected_labels=affected,
@@ -208,6 +215,9 @@ class FullClosureBackend(_BackendBase):
         config: EngineConfig,
         closure: TransitiveClosure | None = None,
         store: ClosureStore | None = None,
+        *,
+        base_store: ClosureStore | None = None,
+        dirty_pairs: frozenset | None = None,
     ) -> None:
         super().__init__()
         started = time.perf_counter()
@@ -217,8 +227,11 @@ class FullClosureBackend(_BackendBase):
             # no closure recompute, no block layout work.
             self._store = store
         else:
+            # A refresh (see :meth:`refreshed`) adopts the clean tables of
+            # ``base_store``; otherwise every table is laid out.
             self._store = ClosureStore(
-                graph, self._closure, block_size=config.block_size
+                graph, self._closure, block_size=config.block_size,
+                base=base_store, dirty_pairs=dirty_pairs,
             )
         self.build_seconds = time.perf_counter() - started
 

@@ -111,7 +111,9 @@ class KernelProgram:
 
     Equality and hashing are by identity — plan caches key programs by
     the object, and two lowerings of the same query are interchangeable
-    but never compared.
+    but never compared.  The opcode listing (:attr:`ops`) is formatted
+    the first time it is read: execution reads only the structure
+    tables.
     """
 
     __slots__ = (
@@ -123,7 +125,7 @@ class KernelProgram:
         "edge_in",
         "child_edges",
         "edge_specs",
-        "ops",
+        "_ops",
         "matcher_kind",
     )
 
@@ -158,9 +160,18 @@ class KernelProgram:
         self.child_edges = tuple(child_edges)
         self.edge_in = tuple(edge_in)
         self.matcher_kind = compiled.matcher_kind
-        self.ops = tuple(self._lower_ops(compiled))
+        self._ops = None
 
     # ------------------------------------------------------------------
+    @property
+    def ops(self) -> tuple[KernelOp, ...]:
+        """The opcode listing, formatted on first read (racing first
+        reads may format it twice; one attribute store publishes it)."""
+        ops = self._ops
+        if ops is None:
+            ops = self._ops = tuple(self._lower_ops())
+        return ops
+
     @property
     def num_positions(self) -> int:
         return len(self.order)
@@ -174,7 +185,7 @@ class KernelProgram:
             return "*"
         return str(self.labels[pos])
 
-    def _lower_ops(self, compiled: CompiledQuery) -> list[KernelOp]:
+    def _lower_ops(self) -> list[KernelOp]:
         ops: list[KernelOp] = []
         # Only a query-compiled non-equality matcher (containment) fans
         # one query label out statically; "engine-default" resolves at

@@ -9,7 +9,9 @@ stream); the gather phase here folds them into one globally-correct,
   closure); the merge keeps exactly one copy per assignment.
 * **Tie-breaking** — within one score, matches are ordered by the
   canonical assignment key (``repr``-sorted ``(query node, data node)``
-  pairs), so the merged sequence is a pure function of the match *set*,
+  pairs, each data node compared through :func:`node_key`, which orders
+  node ids of different types too), so the merged sequence is a pure
+  function of the match *set*,
   independent of shard count, arrival order, or which enumerator
   produced each partial.  Single-engine runs may break boundary-score
   ties differently (their order is enumeration-internal), which is why
@@ -36,9 +38,33 @@ from repro.core.matches import Match
 _first = itemgetter(0)
 
 
+def node_key(node) -> tuple:
+    """``node`` as a sort key that orders node ids of any mix of types.
+
+    Numbers, strings and tuples (element by element) each form one kind
+    and compare natively within it, so wherever two ids compare
+    natively, their keys compare the same way; ids of different kinds
+    order by kind (numbers, strings, tuples, then other types by
+    qualified type name).  Two ids of one other type still compare
+    natively.
+    """
+    if isinstance(node, str):
+        return ("1", node)
+    if isinstance(node, (int, float)):
+        return ("0", node)
+    if isinstance(node, tuple):
+        return ("2", tuple(map(node_key, node)))
+    kind = type(node)
+    return ("3" + kind.__module__ + "." + kind.__qualname__, node)
+
+
 def assignment_key(match: Match) -> tuple:
-    """Canonical identity of a match: its ``repr``-sorted assignment."""
-    return tuple(sorted(match.assignment.items(), key=repr))
+    """Canonical identity of a match: its ``repr``-sorted assignment,
+    each data node as its :func:`node_key`."""
+    return tuple(
+        (name, node_key(node))
+        for name, node in sorted(match.assignment.items(), key=repr)
+    )
 
 
 def match_key(match: Match) -> tuple:
@@ -79,7 +105,7 @@ def _keyed_run(partial: Sequence[Match], orders: dict) -> list[tuple]:
         if order is None:
             key = match_key(match)
         else:
-            key = (match.score, tuple([(name, assignment[name]) for name in order]))
+            key = (match.score, tuple([(name, node_key(assignment[name])) for name in order]))
         run.append((key, match))
     run.sort(key=_first)
     return run

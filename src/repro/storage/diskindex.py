@@ -765,7 +765,7 @@ def _open_pair_tables(disk: DiskIndex, labels: list) -> dict:
                 f"{disk.path}: pair-table directory record out of bounds"
             )
         pair = (labels[alpha_idx], labels[beta_idx])
-        tables[pair] = _PairTable.from_columns(
+        tables[pair] = _PairTable(
             tails[entry_base : entry_base + entry_count],
             dists[entry_base : entry_base + entry_count],
             direct[entry_base : entry_base + entry_count],

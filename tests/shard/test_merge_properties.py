@@ -14,18 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.matches import Match
-from repro.shard.merge import _keyed_run, match_key, merge_topk
+from repro.shard.merge import _keyed_run, match_key, merge_topk, node_key
 from tests.strategies import FUZZ_EXAMPLES
 
 #: Node ids of every kind the merge must order: ints, strings, tuples.
-#: Keys compare data nodes directly, so one case draws its data nodes
-#: from one kind; query nodes are shared by all matches and may mix.
+#: A case draws its data nodes from one kind or from a mix of kinds
+#: (keys compare data nodes through ``node_key``); query nodes are
+#: shared by all matches and may mix.
 ID_KINDS = (
     st.integers(-3, 12),
     st.text("abv", min_size=1, max_size=3),
     st.tuples(st.integers(0, 3), st.sampled_from(("x", "y"))),
 )
 node_ids = st.one_of(*ID_KINDS)
+DATA_KINDS = (*ID_KINDS, node_ids, st.one_of(st.integers(0, 3), st.sampled_from("ab")))
 
 
 def reference_merge(partials, k):
@@ -45,7 +47,7 @@ def merge_cases(draw):
     """Score-sorted partials over one query's node set, with tied scores
     and the same assignment repeated across (and within) partials."""
     query_nodes = draw(st.lists(node_ids, min_size=1, max_size=4, unique=True))
-    data_kind = draw(st.sampled_from(ID_KINDS))
+    data_kind = draw(st.sampled_from(DATA_KINDS))
     data_nodes = draw(st.lists(data_kind, min_size=1, max_size=5, unique=True))
     universe = draw(
         st.lists(
@@ -111,3 +113,15 @@ def test_keys_fall_back_when_data_nodes_decide_the_pair_order():
     assert sorted(keys) == sorted(match_key(match) for match in partial)
     assert keys[0][1][0][0] is not keys[1][1][0][0], "orders must differ"
     assert merge_topk([partial], 2) == reference_merge([partial], 2)
+
+
+@given(ids=st.lists(st.one_of(*ID_KINDS), min_size=2, max_size=6))
+@settings(max_examples=max(FUZZ_EXAMPLES, 200), deadline=None)
+def test_node_keys_keep_native_order_and_order_mixed_kinds(ids):
+    """Sorting by :func:`node_key` sorts ids of one kind as they sort
+    natively, and any mix of kinds the same way whatever the input order."""
+    by_key = sorted(ids, key=node_key)
+    assert sorted(reversed(ids), key=node_key) == by_key
+    for kind in (int, str, tuple):
+        same = [node for node in ids if type(node) is kind]
+        assert [node for node in by_key if type(node) is kind] == sorted(same)

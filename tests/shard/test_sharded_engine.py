@@ -8,6 +8,7 @@ import pytest
 
 from repro.engine.core import MatchEngine
 from repro.exceptions import EngineError, ShardError
+from repro.graph.digraph import graph_from_edges
 from repro.shard import ShardedEngine, merge_topk, shard_index
 from tests.shard.conftest import FIXTURE_QUERIES
 
@@ -104,6 +105,20 @@ def test_merge_topk_is_deterministic_under_shuffling(flat):
         pieces = [list(partial[:3]), list(partial[3:]), list(partial[2:6])]
         rng.shuffle(pieces)
         assert exact(merge_topk(pieces, 8)) == exact(reference)
+
+
+def test_merge_orders_tied_matches_of_mixed_node_id_types():
+    """Data nodes ``1`` and ``"b"`` tie at one query node: the merge's
+    keys order them by kind instead of raising ``TypeError``, and the
+    stream agrees with the eager merge."""
+    graph = graph_from_edges({"r": "A", 1: "B", "b": "B"}, [("r", 1), ("r", "b")])
+    want = MatchEngine(graph).top_k("A//B", 5)
+    sharded = ShardedEngine.from_graph(graph, 2)
+    got = sharded.top_k("A//B", 5)
+    assert sorted(exact(got), key=repr) == sorted(exact(want), key=repr)
+    assert [m.assignment for m in got] == [{"n0": "r", "n1": 1}, {"n0": "r", "n1": "b"}]
+    assert exact(sharded.stream("A//B").take(5)) == exact(got)
+    assert exact(merge_topk([got[::-1], got[:1]], 5)) == exact(got)
 
 
 def test_updated_rebuilds_one_epoch_later(medium_graph, flat):
