@@ -310,12 +310,8 @@ class ClosureStore:
                 for pair, table in base._pair_tables.items()
                 if pair[1] not in dirty.get(pair[0], ())
             }
-        # The first id of each id's label: where its head label starts.
-        label_start = array("i")
-        for _label, id_range in interner.label_ranges():
-            label_start.extend(repeat(id_range.start, len(id_range)))
         for alpha, heads in dirty.items():
-            tables.update(self._build_tail_label(alpha, heads, label_start))
+            tables.update(self._build_tail_label(alpha, heads))
         position = {label: index for index, label in enumerate(interner.labels())}
         return dict(
             sorted(
@@ -324,7 +320,7 @@ class ClosureStore:
             )
         )
 
-    def _build_tail_label(self, alpha: Label, heads: set | None, label_start: array) -> dict:
+    def _build_tail_label(self, alpha: Label, heads: set | None) -> dict:
         """Fresh tables of ``alpha`` for the head labels ``heads`` (every
         head label when ``None``) that some ``alpha`` row reaches.
 
@@ -339,14 +335,14 @@ class ClosureStore:
         cgraph = self._closure.compact_graph
         out_offsets, out_targets = cgraph.out_offsets, cgraph.out_targets
         ranges = [
-            (beta, id_range)
-            for beta, id_range in interner.label_ranges()
+            (position, beta, id_range)
+            for position, (beta, id_range) in enumerate(interner.label_ranges())
             if heads is None or beta in heads
         ]
         keep = None
         if heads is not None:
             keep = bytearray(len(interner))
-            for _beta, id_range in ranges:
+            for _position, _beta, id_range in ranges:
                 keep[id_range.start : id_range.stop] = b"\x01" * len(id_range)
         run: list[tuple[int, float, int, int]] = []
         for source_id in interner.label_range(alpha):
@@ -379,26 +375,27 @@ class ClosureStore:
         # E: walking entries in descending (dist, head) order, the last
         # store under a (head label, tail) key is that tail's minimum.
         descending = sorted(zip(dists, head_column, tails), reverse=True)
+        label_index = interner.label_index()
         best = dict(
-            zip(zip(map(label_start.__getitem__, map(_second, descending)),
+            zip(zip(map(label_index.__getitem__, map(_second, descending)),
                     map(_third, descending)),
                 descending)
         )
         e_keys = sorted(best)
-        e_label_starts = list(map(_first, e_keys))
+        e_label_positions = list(map(_first, e_keys))
         minima = list(map(best.__getitem__, e_keys))
         e_tails = array("i", map(_second, e_keys))
         e_dists = array("d", map(_first, minima))
         e_heads = array("i", map(_second, minima))
         tables = {}
-        for beta, id_range in ranges:
+        for position, beta, id_range in ranges:
             g_lo = bisect_left(group_heads, id_range.start)
             g_hi = bisect_left(group_heads, id_range.stop, g_lo)
             if g_hi == g_lo:
                 continue
             lo, hi = group_starts[g_lo], group_starts[g_hi]
-            e_lo = bisect_left(e_label_starts, id_range.start)
-            e_hi = bisect_left(e_label_starts, id_range.stop, e_lo)
+            e_lo = bisect_left(e_label_positions, position)
+            e_hi = bisect_left(e_label_positions, position + 1, e_lo)
             offsets = array("i", map(sub, group_starts[g_lo : g_hi + 1], repeat(lo)))
             tables[(alpha, beta)] = _PairTable(
                 tails[lo:hi], dists[lo:hi], direct[lo:hi],

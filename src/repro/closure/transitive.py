@@ -201,9 +201,8 @@ class TransitiveClosure:
         changed_old.discard(None)
         old_to_new: list[int | None] | None = None
         if same_universe:
-            label_of_id = [
-                label for label, id_range in new_interner.label_ranges() for _ in id_range
-            ]
+            labels = new_interner.labels()
+            label_index = new_interner.label_index()
         else:
             old_to_new = [new_interner.get(n) for n in old_interner.nodes()]
         label = graph.label
@@ -237,8 +236,11 @@ class TransitiveClosure:
             new_decoded = _decode_row(new_interner, new_row)
             tail_label = label(node)
             if same_universe and old_id in changed_old:
-                for heads in (old_row[0], new_row[0]):
-                    dirty.update(zip(repeat(tail_label), map(label_of_id.__getitem__, heads)))
+                # A loaded closure keeps no row for a node without
+                # successors: its old heads are none.
+                for heads in (old_row[0] if old_row is not None else (), new_row[0]):
+                    head_labels = map(labels.__getitem__, map(label_index.__getitem__, heads))
+                    dirty.update(zip(repeat(tail_label), head_labels))
             if old_decoded != new_decoded:
                 affected.add(tail_label)
                 old_decoded = old_decoded or {}

@@ -14,8 +14,10 @@ the nodes of each label are ordered by ``repr`` within it, so
 :meth:`NodeInterner.repr_rank` ranks ids in ``(repr(node) + ")", id)``
 order, the ``repr((qnode, node))`` tie order of run-time-graph slots for
 any fixed ``qnode``.  It departs from id order on ``repr`` prefixes:
-``"n!)" < "n)"``.  :meth:`NodeInterner.data_labels` expands a query
-label over the id-ordered alphabet once per label matcher.
+``"n!)" < "n)"``.  :meth:`NodeInterner.label_index` maps every id to
+its label's position in the alphabet, and
+:meth:`NodeInterner.data_labels` expands a query label over the
+id-ordered alphabet once per label matcher; both are memoized.
 
 The mapping is a pure function of the node/label universe: two
 interners built from equal graphs are identical, which is what lets
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from itertools import repeat
 from typing import Iterator, Mapping
 
 from repro.exceptions import GraphError
@@ -44,7 +47,8 @@ class NodeInterner:
     label expansions (:meth:`data_labels`)."""
 
     __slots__ = (
-        "_nodes", "_ids", "_ranges", "_starts", "_range_labels", "_rank", "_expansions",
+        "_nodes", "_ids", "_ranges", "_starts", "_range_labels", "_rank", "_label_index",
+        "_expansions",
     )
 
     def __init__(self, labeled_nodes: Mapping[NodeId, Label]) -> None:
@@ -68,6 +72,7 @@ class NodeInterner:
             node: i for i, node in enumerate(self._nodes)
         }
         self._rank: array | None = None
+        self._label_index: array | None = None
         self._expansions: dict = {}
 
     @classmethod
@@ -93,6 +98,7 @@ class NodeInterner:
         self._nodes = tuple(nodes)
         self._ids = {node: i for i, node in enumerate(self._nodes)}
         self._rank = None
+        self._label_index = None
         self._expansions = {}
         self._ranges = {}
         self._starts = []
@@ -162,6 +168,17 @@ class NodeInterner:
         if not 0 <= node_id < len(self._nodes):
             raise GraphError(f"interned id {node_id} out of range")
         return self._range_labels[bisect_right(self._starts, node_id) - 1]
+
+    def label_index(self) -> array:
+        """``index[id]``: the position in :meth:`labels` of the id's label,
+        computed once (racing first calls may compute it twice)."""
+        index = self._label_index
+        if index is None:
+            index = array("i")
+            for position, label in enumerate(self._range_labels):
+                index.extend(repeat(position, len(self._ranges[label])))
+            self._label_index = index
+        return index
 
     def labels(self) -> tuple[Label, ...]:
         """All labels, in id-range order."""

@@ -29,6 +29,8 @@ deeper enumeration in any shard.
 from __future__ import annotations
 
 import heapq
+from decimal import Decimal
+from numbers import Real
 from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -36,13 +38,16 @@ from repro.core.matches import Match
 
 
 _first = itemgetter(0)
+#: Number types that compare with ints (``Decimal`` is no ``Real``).
+_NUMBERS = (Real, Decimal)
 
 
 def node_key(node) -> tuple:
     """``node`` as a sort key that orders node ids of any mix of types.
 
-    Numbers, strings and tuples (element by element) each form one kind
-    and compare natively within it, so wherever two ids compare
+    Numbers (any ``numbers.Real``, numpy scalars included, or
+    ``Decimal``), strings and tuples (element by element) each form one
+    kind and compare natively within it, so wherever two ids compare
     natively, their keys compare the same way; ids of different kinds
     order by kind (numbers, strings, tuples, then other types by
     qualified type name).  Two ids of one other type still compare
@@ -54,6 +59,8 @@ def node_key(node) -> tuple:
         return ("0", node)
     if isinstance(node, tuple):
         return ("2", tuple(map(node_key, node)))
+    if isinstance(node, _NUMBERS):
+        return ("0", node)
     kind = type(node)
     return ("3" + kind.__module__ + "." + kind.__qualname__, node)
 

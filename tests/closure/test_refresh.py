@@ -148,6 +148,18 @@ def test_node_add_and_relabel_rebuild_every_table():
         assert_same_store(refreshed, updated)
 
 
+def test_a_json_loaded_engine_folds_an_edge_from_a_sink(tmp_path):
+    """A JSON index keeps no closure row for a node without successors;
+    folding that node's first out-edge must still refresh the store."""
+    graph = graph_from_edges({"a": "A", "b": "B", "c": "C"}, [("a", "b")])
+    MatchEngine(graph, backend="full").save_index(tmp_path / "index.json", format="json")
+    loaded = MatchEngine.load(tmp_path / "index.json")
+    folded = fold(loaded, [EdgeAdd("b", "c")]).engine
+    assert_same_store(folded.store, folded.graph)
+    fresh = MatchEngine(folded.graph, backend="full")
+    assert exact(folded.top_k("A//C", 5)) == exact(fresh.top_k("A//C", 5))
+
+
 def test_a_different_block_size_rebuilds_every_table():
     graph = path_graph()
     store = ClosureStore(graph, TransitiveClosure(graph))

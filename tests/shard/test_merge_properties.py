@@ -10,6 +10,10 @@ assignments in different dict orders.
 
 from __future__ import annotations
 
+from decimal import Decimal
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -115,13 +119,37 @@ def test_keys_fall_back_when_data_nodes_decide_the_pair_order():
     assert merge_topk([partial], 2) == reference_merge([partial], 2)
 
 
-@given(ids=st.lists(st.one_of(*ID_KINDS), min_size=2, max_size=6))
+#: Numbers of types that compare with ints natively: one kind.
+NUMBERS = st.one_of(
+    st.integers(-3, 12),
+    st.fractions(-3, 12, max_denominator=4),
+    st.decimals(-3, 12, places=1),
+    st.floats(-3, 12),
+)
+
+
+@given(ids=st.lists(st.one_of(*ID_KINDS, NUMBERS), min_size=2, max_size=6))
 @settings(max_examples=max(FUZZ_EXAMPLES, 200), deadline=None)
 def test_node_keys_keep_native_order_and_order_mixed_kinds(ids):
     """Sorting by :func:`node_key` sorts ids of one kind as they sort
-    natively, and any mix of kinds the same way whatever the input order."""
+    natively, and any mix of kinds the same way whatever the input order.
+    Ints, fractions, decimals and floats are one kind, and ids equal by
+    value have equal keys, so the merge dedups them alike."""
     by_key = sorted(ids, key=node_key)
     assert sorted(reversed(ids), key=node_key) == by_key
-    for kind in (int, str, tuple):
-        same = [node for node in ids if type(node) is kind]
-        assert [node for node in by_key if type(node) is kind] == sorted(same)
+    for kind in ((int, float, Fraction, Decimal), str, tuple):
+        same = [node for node in ids if isinstance(node, kind)]
+        assert [node for node in by_key if isinstance(node, kind)] == sorted(same)
+        for a in same:
+            for b in same:
+                assert (node_key(a) == node_key(b)) is (a == b)
+
+
+def test_node_keys_treat_numpy_scalars_as_numbers():
+    np = pytest.importorskip("numpy")
+    ids = [np.int64(3), 2, Fraction(5, 2), np.float64(0.5)]
+    assert sorted(ids, key=node_key) == [np.float64(0.5), 2, Fraction(5, 2), np.int64(3)]
+    assert node_key(np.int64(1)) == node_key(1)
+    first = Match({"q": 1}, 0.0)
+    same = Match({"q": np.int64(1)}, 0.0)
+    assert merge_topk([[first], [same]], 5) == [first]
