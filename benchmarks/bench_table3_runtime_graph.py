@@ -45,9 +45,15 @@ def test_table3_runtime_graph_sizes(benchmark, report):
             f"density at T{SIZES[-1]}: GD3 {gd_density:.1f} edges/node vs "
             f"GS3 {gs_density:.1f} (paper: real >> synthetic)"
         )
+        # The paper's trend that GR grows with query size is reported,
+        # not asserted: with QUERIES_PER_SET queries per size the
+        # averages move from run to run (the query draws follow hash
+        # order), and on GD3 they need not grow.
+        for name, rows in (("GD3", gd_rows), ("GS3", gs_rows)):
+            edges = [r[2] for r in rows]
+            grows = "yes" if edges == sorted(edges) else "no"
+            print(f"{name} #edges GR grows with query size: {grows} {edges} (paper: yes)")
 
-    # Sanity of the paper's trend: GR grows with query size on both.
-    assert [r[2] for r in gd_rows] == sorted(r[2] for r in gd_rows) or True
     wb = get_workbench("GS3")
     query = wb.query(20, seed=3)
     benchmark.pedantic(

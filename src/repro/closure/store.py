@@ -34,13 +34,13 @@ corresponding label dimension.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
-from itertools import compress, repeat
+from bisect import bisect_left, insort
+from itertools import accumulate, compress, repeat
 from operator import itemgetter, sub
 from typing import Iterator, Sequence
 
 from repro.closure.transitive import TransitiveClosure
-from repro.compact import NodeInterner, buffer_bytes
+from repro.compact import NodeInterner, array_copy, buffer_bytes
 from repro.compact.tailmajor import compose, joined_slots, leaf_slots, pack, unpack
 from repro.exceptions import ClosureError
 from repro.graph.digraph import Label, LabeledDiGraph, NodeId
@@ -60,6 +60,7 @@ DEntry = tuple[NodeId, float]
 EEntry = tuple[NodeId, NodeId, float]
 
 _first, _second, _third, _fourth = map(itemgetter, range(4))
+_EMPTY_ROW = (array("i"), array("d"))
 
 
 def _fmt(label: Label) -> str:
@@ -201,19 +202,114 @@ class _PairTable:
         )
 
 
+_EMPTY_TABLE = _PairTable(
+    array("i"), array("d"), bytearray(), array("i"), array("i", [0]),
+    array("i"), array("i"), array("d"),
+)
+
+
+def _patch_table(
+    table: _PairTable, groups: dict, rows, cgraph, head_range: range
+) -> _PairTable | None:
+    """``table`` with the head groups of ``groups`` rebuilt (``None`` when
+    no entry is left).
+
+    ``groups`` maps a head id to the recomputed tails whose entry into it
+    moved.  Such a group keeps its base entries from every other tail,
+    takes those tails' entries from their new closure ``rows`` and direct
+    flags from ``cgraph``, and is sorted by ``(dist, tail)``; a group may
+    appear or vanish.  The columns start as C-level copies of the base's
+    (which may be memoryviews over an mmap section), and each rebuilt
+    group is one slice assignment per column; groups go in descending
+    head order, so the base offsets still bound every group not yet
+    visited.  The offsets are summed again only when a group changed
+    size, and the heads copied only when one appeared or vanished.
+    The ``E`` entry of each moved tail is recomputed from its new row's
+    ``head_range`` run and replaced, inserted or deleted in place.
+    """
+    tails, dists = array_copy("i", table.tails), array_copy("d", table.dists)
+    direct = bytearray(table.direct)
+    heads = base_heads = table.heads
+    offsets = base_offsets = table.offsets
+    sizes = None  # group sizes, once a group changed size
+    moved_tails: set[int] = set()
+    for head in sorted(groups, reverse=True):
+        moved = groups[head]
+        moved_tails.update(moved)
+        j = bisect_left(base_heads, head)
+        present = j < len(base_heads) and base_heads[j] == head
+        lo = base_offsets[j]
+        hi = base_offsets[j + 1] if present else lo
+        entries = [
+            entry
+            for entry in zip(dists[lo:hi], tails[lo:hi], direct[lo:hi])
+            if entry[1] not in moved
+        ]
+        for tail in moved:
+            targets, row_dists = rows.row(tail) or _EMPTY_ROW
+            k = bisect_left(targets, head)
+            if k < len(targets) and targets[k] == head:
+                entries.append((row_dists[k], tail, cgraph.has_edge(tail, head)))
+        entries.sort()
+        tails[lo:hi] = array("i", map(_second, entries))
+        dists[lo:hi] = array("d", map(_first, entries))
+        direct[lo:hi] = bytes(map(_third, entries))
+        if present and len(entries) == hi - lo:
+            continue
+        if sizes is None:
+            sizes = list(map(sub, base_offsets[1:], base_offsets[:-1]))
+            heads = array_copy("i", base_heads)
+        if not present:
+            if entries:
+                heads.insert(j, head)
+                sizes.insert(j, len(entries))
+        elif entries:
+            sizes[j] = len(entries)
+        else:
+            del heads[j], sizes[j]
+    if not tails:
+        return None
+    if sizes is not None:
+        offsets = array("i", accumulate(sizes, initial=0))
+    base_e_tails = table.e_tails
+    e_tails = array_copy("i", base_e_tails)
+    e_heads = array_copy("i", table.e_heads)
+    e_dists = array_copy("d", table.e_dists)
+    for tail in sorted(moved_tails, reverse=True):
+        k = bisect_left(base_e_tails, tail)
+        present = k < len(base_e_tails) and base_e_tails[k] == tail
+        targets, row_dists = rows.row(tail) or _EMPTY_ROW
+        lo = bisect_left(targets, head_range.start)
+        hi = bisect_left(targets, head_range.stop, lo)
+        if hi > lo:
+            dist, head = min(zip(row_dists[lo:hi], targets[lo:hi]))
+            if present:
+                e_heads[k], e_dists[k] = head, dist
+            else:
+                e_tails.insert(k, tail)
+                e_heads.insert(k, head)
+                e_dists.insert(k, dist)
+        elif present:
+            del e_tails[k], e_heads[k], e_dists[k]
+    return _PairTable(tails, dists, direct, heads, offsets, e_tails, e_heads, e_dists)
+
+
 class ClosureStore:
     """Metered, block-organized view of a transitive closure.
 
-    Built from ``closure`` alone, every pair table is laid out afresh.
-    A refresh passes the store of the closure it was refreshed from as
-    ``base`` and the ``dirty_pairs`` of
-    :meth:`TransitiveClosure.refreshed`: the new store then adopts every
-    table of ``base`` outside ``dirty_pairs`` (with its memoized views)
-    and lays out only the dirty ones, a full build being the case where
-    every pair is dirty.  It also keeps the composed views of ``base``
-    that read no dirty pair.  ``dirty_pairs=None``, a different interner
-    object (the ids moved) or a different block size builds every table.
-    Tables are byte-identical to a fresh build either way.
+    Built from ``closure`` alone, every pair table is laid out afresh,
+    one pass per tail label.  A refresh passes the store of the closure
+    it was refreshed from as ``base`` and the ``dirty_groups`` of
+    :meth:`TransitiveClosure.refreshed`, and its Python-level work is
+    O(touched groups): every table outside ``dirty_groups`` is adopted
+    object for object (with its memoized views), and a dirty table
+    starts from C-level copies of the base table's columns and rebuilds
+    only the touched head groups and the ``E`` entries of the moved
+    tails (see :func:`_patch_table`).  It also keeps the composed
+    views of ``base`` that read no dirty pair.  ``dirty_groups=None``, a
+    different interner object (the ids moved) or a different block size
+    builds every table.  Tables are byte-identical to a fresh build
+    either way.
     """
 
     def __init__(
@@ -224,25 +320,19 @@ class ClosureStore:
         counter: IOCounter | None = None,
         *,
         base: "ClosureStore | None" = None,
-        dirty_pairs: frozenset | None = None,
+        dirty_groups: dict | None = None,
     ) -> None:
         self._attach(graph, closure, block_size, counter)
-        # Tail label -> its dirty head labels (``None``: every one).
-        dirty: dict = {}
         if (
             base is None
-            or dirty_pairs is None
+            or dirty_groups is None
             or base._interner is not self._interner
             or base.directory.block_size != block_size
         ):
-            base = None
-            dirty = dict.fromkeys(self._interner.labels())
+            self._pair_tables = self._build()
         else:
-            for alpha, beta in dirty_pairs:
-                dirty.setdefault(alpha, set()).add(beta)
-        self._pair_tables = self._build(base, dirty)
-        if base is not None:
-            self._carry_views(base, dirty)
+            self._pair_tables = self._patch(base, dirty_groups)
+            self._carry_views(base, dirty_groups)
 
     def _attach(self, graph, closure, block_size, counter) -> None:
         """Every field but the tables; memos start empty."""
@@ -296,54 +386,58 @@ class ClosureStore:
         self._pair_tables = dict(pair_tables)
         return self
 
-    def _build(self, base: "ClosureStore | None", dirty: dict) -> dict:
-        """The pair tables in ``(tail label, head label)`` id order:
-        ``base``'s table for every clean pair, a fresh one for every
-        dirty pair (``dirty`` maps a tail label to its dirty head labels,
-        ``None`` for all of them), built in one pass over the rows of
-        each dirty tail label."""
-        interner = self._interner
+    def _build(self) -> dict:
+        """Every pair table, in ``(tail label, head label)`` id order,
+        built in one pass over the rows of each tail label."""
         tables = {}
-        if base is not None:
-            tables = {
-                pair: table
-                for pair, table in base._pair_tables.items()
-                if pair[1] not in dirty.get(pair[0], ())
-            }
-        for alpha, heads in dirty.items():
-            tables.update(self._build_tail_label(alpha, heads))
-        position = {label: index for index, label in enumerate(interner.labels())}
-        return dict(
-            sorted(
-                tables.items(),
-                key=lambda item: (position[item[0][0]], position[item[0][1]]),
+        for alpha in self._interner.labels():
+            tables.update(self._build_tail_label(alpha))
+        return tables
+
+    def _patch(self, base: "ClosureStore", dirty_groups: dict) -> dict:
+        """``base``'s tables with each dirty one patched by
+        :func:`_patch_table`; a table left without entries is dropped, and
+        a table new to the store is inserted at its id-order place."""
+        tables = dict(base._pair_tables)
+        rows = self._closure.rows
+        cgraph = self._closure.compact_graph
+        label_range = self._interner.label_range
+        appeared = []
+        for pair, groups in dirty_groups.items():
+            table = _patch_table(
+                tables.get(pair, _EMPTY_TABLE), groups, rows, cgraph, label_range(pair[1])
             )
-        )
+            if table is None:
+                tables.pop(pair, None)
+            elif pair in tables:
+                tables[pair] = table
+            else:
+                appeared.append((pair, table))
+        if appeared:
+            position = {label: index for index, label in enumerate(self._interner.labels())}
 
-    def _build_tail_label(self, alpha: Label, heads: set | None) -> dict:
-        """Fresh tables of ``alpha`` for the head labels ``heads`` (every
-        head label when ``None``) that some ``alpha`` row reaches.
+            def order(item):
+                return position[item[0][0]], position[item[0][1]]
 
-        The rows' entries for those labels are sorted once by ``(head,
-        dist, tail)``, which also orders them by head label, and so are
-        their groups and their per ``(head label, tail)`` minimum
-        outgoing edges; each table's columns are slices of these runs.
-        Every step is a C-level pass over the tail label's entries, and a
-        table costs a few slices."""
+            items = list(tables.items())
+            for item in appeared:
+                insort(items, item, key=order)
+            tables = dict(items)
+        return tables
+
+    def _build_tail_label(self, alpha: Label) -> dict:
+        """Fresh tables of ``alpha`` for every head label that some
+        ``alpha`` row reaches, in head label id order.
+
+        The rows' entries are sorted once by ``(head, dist, tail)``, which
+        also orders them by head label, and so are their groups and their
+        per ``(head label, tail)`` minimum outgoing edges; each table's
+        columns are slices of these runs.  Every step is a C-level pass
+        over the tail label's entries, and a table costs a few slices."""
         interner = self._interner
         rows = self._closure.rows
         cgraph = self._closure.compact_graph
         out_offsets, out_targets = cgraph.out_offsets, cgraph.out_targets
-        ranges = [
-            (position, beta, id_range)
-            for position, (beta, id_range) in enumerate(interner.label_ranges())
-            if heads is None or beta in heads
-        ]
-        keep = None
-        if heads is not None:
-            keep = bytearray(len(interner))
-            for _position, _beta, id_range in ranges:
-                keep[id_range.start : id_range.stop] = b"\x01" * len(id_range)
         run: list[tuple[int, float, int, int]] = []
         for source_id in interner.label_range(alpha):
             row = rows.row(source_id)
@@ -353,15 +447,14 @@ class ClosureStore:
             # Direct-edge flags: a CSR out-neighbor membership test per
             # target, mapped in C.
             out = set(out_targets[out_offsets[source_id] : out_offsets[source_id + 1]])
-            entries = zip(
-                targets,
-                dists,
-                repeat(source_id, len(targets)),
-                map(out.__contains__, targets),
+            run.extend(
+                zip(
+                    targets,
+                    dists,
+                    repeat(source_id, len(targets)),
+                    map(out.__contains__, targets),
+                )
             )
-            if keep is not None:
-                entries = compress(entries, map(keep.__getitem__, targets))
-            run.extend(entries)
         if not run:
             return {}
         run.sort()
@@ -388,7 +481,7 @@ class ClosureStore:
         e_dists = array("d", map(_first, minima))
         e_heads = array("i", map(_second, minima))
         tables = {}
-        for position, beta, id_range in ranges:
+        for position, (beta, id_range) in enumerate(interner.label_ranges()):
             g_lo = bisect_left(group_heads, id_range.start)
             g_hi = bisect_left(group_heads, id_range.stop, g_lo)
             if g_hi == g_lo:
@@ -404,12 +497,15 @@ class ClosureStore:
             )
         return tables
 
-    def _carry_views(self, base: "ClosureStore", dirty: dict) -> None:
+    def _carry_views(self, base: "ClosureStore", dirty_groups: dict) -> None:
         """Keep ``base``'s composed edge views and joined views that read
         no dirty pair (a wildcard side reads every label): they are built
         from adopted tables only, so their views and the opens, entries
         and blocks they meter are this store's too.  The memos are copied
         before filtering, since readers of ``base`` may still add to them."""
+        dirty: dict = {}
+        for alpha, beta in dirty_groups:
+            dirty.setdefault(alpha, set()).add(beta)
 
         def clean(tail_labels, head_labels) -> bool:
             for alpha in dirty if tail_labels is None else tail_labels:

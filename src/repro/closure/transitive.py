@@ -19,7 +19,9 @@ import time
 from array import array
 from bisect import bisect_left
 from collections.abc import Mapping as MappingABC
-from itertools import repeat
+from collections import defaultdict
+from itertools import compress
+from operator import itemgetter, ne
 from typing import Iterable, Iterator, Mapping
 
 from repro.compact import ClosureRows, CompactGraph, NodeInterner
@@ -157,109 +159,134 @@ class TransitiveClosure:
         self,
         graph: LabeledDiGraph,
         changed_tails: Iterable[NodeId],
-    ) -> tuple["TransitiveClosure", int, frozenset, frozenset | None]:
+        *,
+        same_nodes: bool,
+    ) -> tuple["TransitiveClosure", int, frozenset, dict | None]:
         """An updated closure over ``graph``, reusing unaffected rows.
 
         ``changed_tails`` are the tail endpoints of every added or removed
         edge.  A shortest path from ``s`` can only change if it runs
         through a changed edge, which requires ``s`` to reach that edge's
-        tail — so only rows that contain a changed tail (or belong to one)
-        are recomputed; every other row carries over verbatim (the arrays
-        are immutable and shared, not copied).  New nodes of ``graph`` get
+        tail in this closure's graph — so only the changed tails and their
+        ancestors, found by one backward sweep over the base CSR, are
+        recomputed; every other row carries over verbatim (the arrays are
+        immutable and shared, not copied).  New nodes of ``graph`` get
         fresh rows.
 
+        ``same_nodes`` says, from the batch, that it kept the node set and
+        every label (no node joined, left or was relabelled).  The
+        refreshed closure then keeps this closure's :class:`NodeInterner`
+        object, so its memoized ``repr_rank`` and label expansions stay
+        shared, and its CSR is :meth:`CompactGraph.patched` from this one:
+        only tails whose adjacency really moved count as changed.
+        Otherwise ``graph`` is interned afresh, its CSR is packed afresh
+        and the carried rows are re-encoded under the new ids.
+
         Returns ``(closure, rows_recomputed, affected_labels,
-        dirty_pairs)``.  ``affected_labels`` is the set of labels of nodes
+        dirty_groups)``.  ``affected_labels`` is the set of labels of nodes
         involved in any pair whose distance actually changed — the
         selective cache invalidation signal of the serving layer.
-        ``dirty_pairs`` is the set of ``(tail label, head label)`` pairs
-        whose :class:`~repro.closure.store.ClosureStore` pair tables can
-        differ from this closure's: a recomputed row dirties the pair of
-        every head whose distance changed, and the row of a changed tail
-        dirties the pair of every head it had or has, because its direct
-        flags moved.  It is ``None`` when the interned ids moved (a node
-        was added or left), which leaves no table reusable.  When they did
-        not move the refreshed closure keeps this closure's
-        :class:`NodeInterner` object, so its memoized ``repr_rank`` and
-        label expansions stay shared.  Only full (non-partial) closures
-        support refresh; partial ones must be rebuilt against their
-        source set.
+        ``dirty_groups`` maps each ``(tail label, head label)`` pair whose
+        :class:`~repro.closure.store.ClosureStore` pair table differs from
+        this closure's to ``{head id: [tail id, ...]}``: the heads whose
+        group holds a moved entry, and the recomputed tails whose entry
+        into that head moved (its distance changed, it appeared or left,
+        or its direct flag flipped).  It is ``None`` without
+        ``same_nodes``: the ids moved, which leaves no table reusable.  Only full (non-partial)
+        closures support refresh; partial ones must be rebuilt against
+        their source set.
         """
         if self._partial:
             raise ClosureError(
                 "partial closures cannot be incrementally refreshed; "
                 "rebuild from the declared source set"
             )
-        changed = set(changed_tails)
-        new_interner = NodeInterner.from_graph(graph)
         old_interner = self._interner
-        same_universe = old_interner.same_universe(new_interner)
-        if same_universe:
-            new_interner = old_interner
-        new_compact = CompactGraph(graph, new_interner)
-        changed_old = {old_interner.get(t) for t in changed}
-        changed_old.discard(None)
-        old_to_new: list[int | None] | None = None
-        if same_universe:
-            labels = new_interner.labels()
-            label_index = new_interner.label_index()
-        else:
-            old_to_new = [new_interner.get(n) for n in old_interner.nodes()]
+        if not same_nodes:
+            return self._refreshed_anew(graph, changed_tails)
+        if len(graph) != len(old_interner):
+            raise ClosureError(
+                f"a refresh that keeps the node set got {len(graph)} "
+                f"nodes for {len(old_interner)}"
+            )
+        compact, moved_tails = self._compact.patched(graph, changed_tails)
+        labels, label_index = old_interner.labels(), old_interner.label_index()
+
+        def label_of(node_id: int) -> Label:
+            return labels[label_index[node_id]]
+
+        old_rows, old_compact = self._rows, self._compact
+        moved = set(moved_tails)
+        affected: set = set()
+        dirty: defaultdict = defaultdict(lambda: defaultdict(list))
+        updates = compact.shortest_rows(old_compact.reaching(moved_tails))
+        for source_id, new_row in updates.items():
+            # A loaded closure keeps no row for a node without successors.
+            heads = _moved_heads(old_rows.row(source_id) or _EMPTY_ROW, new_row)
+            if heads:
+                affected.add(label_of(source_id))
+                affected.update(map(label_of, heads))
+            if source_id in moved:
+                # Its direct flags follow its out-row's head set.
+                heads.update(
+                    set(_out_row(old_compact, source_id)).symmetric_difference(
+                        _out_row(compact, source_id)
+                    )
+                )
+            tail_label = label_of(source_id)
+            for head in heads:
+                dirty[tail_label, label_of(head)][head].append(source_id)
+        return (
+            TransitiveClosure._from_rows(
+                graph, old_interner, compact, old_rows.replaced(updates)
+            ),
+            len(updates),
+            frozenset(affected),
+            dict(dirty),
+        )
+
+    def _refreshed_anew(
+        self, graph: LabeledDiGraph, changed_tails: Iterable[NodeId]
+    ) -> tuple["TransitiveClosure", int, frozenset, None]:
+        """:meth:`refreshed` when the node set or a label moved: the ids
+        are interned afresh, the CSR is packed afresh and every carried
+        row is re-encoded under the new ids."""
+        interner = NodeInterner.from_graph(graph)
+        compact = CompactGraph(graph, interner)
+        old_interner = self._interner
+        changed_old = [
+            old_id for old_id in map(old_interner.get, changed_tails) if old_id is not None
+        ]
+        stale = set(self._compact.reaching(changed_old))
+        old_to_new = list(map(interner.get, old_interner.nodes()))
         label = graph.label
         rows: dict[int, tuple[array, array]] = {}
         recomputed = 0
         affected: set = set()
-        dirty: set = set()
-        for source_id in range(len(new_interner)):
-            node = new_interner.resolve(source_id)
+        for source_id, node in enumerate(interner.nodes()):
             old_id = old_interner.get(node)
             old_row = self._rows.row(old_id) if old_id is not None else None
-            if old_row is not None and old_id not in changed_old:
-                targets, _ = old_row
-                if changed_old.isdisjoint(targets):
-                    carried = (
-                        old_row
-                        if same_universe
-                        else _remap_row(old_row, old_to_new)
-                    )
-                    if carried is not None:
-                        rows[source_id] = carried
-                        continue
-            new_row = new_compact.shortest_from(source_id)
+            if old_row is not None and old_id not in stale:
+                carried = _remap_row(old_row, old_to_new)
+                if carried is not None:
+                    rows[source_id] = carried
+                    continue
+            new_row = compact.shortest_from(source_id)
             rows[source_id] = new_row
             recomputed += 1
-            old_decoded = (
-                _decode_row(old_interner, old_row)
-                if old_row is not None
-                else None
-            )
-            new_decoded = _decode_row(new_interner, new_row)
-            tail_label = label(node)
-            if same_universe and old_id in changed_old:
-                # A loaded closure keeps no row for a node without
-                # successors: its old heads are none.
-                for heads in (old_row[0] if old_row is not None else (), new_row[0]):
-                    head_labels = map(labels.__getitem__, map(label_index.__getitem__, heads))
-                    dirty.update(zip(repeat(tail_label), head_labels))
+            old_decoded = _decode_row(old_interner, old_row) if old_row is not None else {}
+            new_decoded = _decode_row(interner, new_row)
             if old_decoded != new_decoded:
-                affected.add(tail_label)
-                old_decoded = old_decoded or {}
+                affected.add(label(node))
                 for head in old_decoded.keys() | new_decoded.keys():
-                    if old_decoded.get(head) != new_decoded.get(head):
-                        # A removed head may have left the graph entirely;
-                        # updates are edge-level, so it has not — but stay
-                        # defensive and skip labels of vanished nodes.
-                        if head in graph:
-                            head_label = label(head)
-                            affected.add(head_label)
-                            dirty.add((tail_label, head_label))
+                    # A head of the old row may have left the graph.
+                    if old_decoded.get(head) != new_decoded.get(head) and head in graph:
+                        affected.add(label(head))
         return (
-            TransitiveClosure._from_rows(
-                graph, new_interner, new_compact, ClosureRows(rows)
-            ),
+            TransitiveClosure._from_rows(graph, interner, compact, ClosureRows(rows)),
             recomputed,
             frozenset(affected),
-            frozenset(dirty) if same_universe else None,
+            None,
         )
 
     # ------------------------------------------------------------------
@@ -381,6 +408,26 @@ class TransitiveClosure:
             "build_seconds": self.build_seconds,
             "partial": self._partial,
         }
+
+
+_EMPTY_ROW: tuple[array, array] = (array("i"), array("d"))
+_first = itemgetter(0)
+
+
+def _moved_heads(old_row: tuple, new_row: tuple) -> set[int]:
+    """The heads whose distance differs between two rows of one source
+    (a head in only one of them counts)."""
+    old_targets, old_dists = old_row
+    new_targets, new_dists = new_row
+    old_dist = dict(zip(old_targets, old_dists)).get
+    moved = set(compress(new_targets, map(ne, map(old_dist, new_targets), new_dists)))
+    moved.update(set(old_targets).difference(new_targets))
+    return moved
+
+
+def _out_row(compact: CompactGraph, node_id: int):
+    """The out-neighbor ids of ``node_id`` (a buffer slice)."""
+    return compact.out_targets[compact.out_offsets[node_id] : compact.out_offsets[node_id + 1]]
 
 
 def _decode_row(

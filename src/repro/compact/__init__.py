@@ -21,7 +21,7 @@ the pure-stdlib paths remain the default and numpy is never required.
 """
 
 from repro.compact.accel import numpy_enabled, numpy_or_none
-from repro.compact.csr import CompactGraph
+from repro.compact.csr import CompactGraph, array_copy
 from repro.compact.interner import NodeInterner
 from repro.compact.rows import ClosureRows, buffer_bytes
 from repro.compact.span import SpanView, forward_closure
@@ -31,6 +31,7 @@ __all__ = [
     "ClosureRows",
     "NodeInterner",
     "SpanView",
+    "array_copy",
     "buffer_bytes",
     "forward_closure",
     "numpy_enabled",

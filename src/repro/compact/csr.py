@@ -1,11 +1,13 @@
 """CSR adjacency over interned ids — the compact data-graph layout.
 
 A :class:`CompactGraph` freezes a :class:`~repro.graph.digraph.LabeledDiGraph`
-into four flat buffers per direction (offsets, targets, weights), built
+into three flat buffers per direction (offsets, targets, weights), built
 from stdlib ``array('i')`` / ``array('d')``.  The closure builders run
 their per-source searches directly over these buffers, and the search
 results come back as parallel id-sorted arrays ready for the
-array-backed closure rows.
+array-backed closure rows.  :meth:`CompactGraph.patched` derives the CSR
+of an edge-updated graph from an existing one: only the changed rows are
+packed again, everything else is copied in C.
 
 Shortest-distance semantics match :mod:`repro.graph.traversal`: only
 non-empty paths count, so a source appears in its own result iff it
@@ -17,23 +19,33 @@ from __future__ import annotations
 import heapq
 from array import array
 from bisect import bisect_left
-from collections import deque
-from itertools import compress
-from typing import Iterator
+from itertools import accumulate, compress
+from operator import itemgetter, sub
+from typing import Iterable, Iterator
 
 from repro.compact.accel import numpy_or_none
 from repro.compact.interner import NodeInterner
-from repro.graph.digraph import LabeledDiGraph
+from repro.graph.digraph import LabeledDiGraph, NodeId
 
 
 class CompactGraph:
-    """Immutable CSR snapshot of a labeled digraph, both directions."""
+    """Immutable CSR snapshot of a labeled digraph, both directions.
+
+    Built from a graph, every node's adjacency is packed and sorted.
+    :meth:`patched` derives the snapshot of an edge-updated graph over
+    the same interned ids from this one in O(changed rows) Python work:
+    the changed tails' out-rows and the changed heads' in-rows are read
+    from the updated graph, and every other row is copied in C.
+    ``unit_weighted`` is exact either way: it is derived from a count of
+    the edges whose weight is not 1.
+    """
 
     __slots__ = (
         "interner",
         "num_nodes",
         "num_edges",
         "unit_weighted",
+        "_non_unit",
         "out_offsets",
         "out_targets",
         "out_weights",
@@ -50,13 +62,14 @@ class CompactGraph:
         self.interner = interner
         self.num_nodes = len(interner)
         self.num_edges = graph.num_edges
-        self.unit_weighted = graph.is_unit_weighted()
         self.out_offsets, self.out_targets, self.out_weights = self._pack(
             graph, interner, forward=True
         )
         self.in_offsets, self.in_targets, self.in_weights = self._pack(
             graph, interner, forward=False
         )
+        self._non_unit = len(self.out_weights) - self.out_weights.count(1.0)
+        self.unit_weighted = self._non_unit == 0
 
     @classmethod
     def from_buffers(
@@ -83,6 +96,7 @@ class CompactGraph:
         self.num_nodes = len(interner)
         self.num_edges = num_edges
         self.unit_weighted = unit_weighted
+        self._non_unit = 0 if unit_weighted else None
         self.out_offsets, self.out_targets, self.out_weights = (
             out_offsets, out_targets, out_weights,
         )
@@ -90,6 +104,65 @@ class CompactGraph:
             in_offsets, in_targets, in_weights,
         )
         return self
+
+    def _non_unit_edges(self) -> int:
+        """Number of edges whose weight is not 1 (counted once, on first
+        use, for adopted buffers of a weighted graph)."""
+        count = self._non_unit
+        if count is None:
+            count = sum(map((1.0).__ne__, self.out_weights))
+            self._non_unit = count
+        return count
+
+    def patched(
+        self, graph: LabeledDiGraph, tails: Iterable[NodeId]
+    ) -> tuple["CompactGraph", list[int]]:
+        """The CSR of ``graph``, an edge update of the graph this one was
+        packed from over the same interned ids, and the ids of ``tails``
+        whose out-row moved, ascending.
+
+        ``tails`` must cover the tail of every added, removed or
+        re-weighted edge.  Their out-rows are read from ``graph``, so
+        what counts is the patched adjacency, not the update records: a
+        parallel edge collapses to the minimum weight, and an edge added
+        again at a larger weight moves nothing.  The heads of the edges
+        that did move get their in-rows read from ``graph`` too; every
+        other row of both directions is copied from this snapshot's
+        buffers (see :func:`_splice_rows`).  When no row moved the CSR
+        is ``self``.
+        """
+        intern_all, resolve = self.interner.intern_all, self.interner.resolve
+        offsets, targets, weights = self.out_offsets, self.out_targets, self.out_weights
+        out_rows: dict[int, list[tuple[int, float]]] = {}
+        heads: set[int] = set()
+        non_unit = self._non_unit_edges()
+        for tail_id in sorted(intern_all(set(tails))):
+            lo, hi = offsets[tail_id], offsets[tail_id + 1]
+            old = list(zip(targets[lo:hi], weights[lo:hi]))
+            new = _row(intern_all, graph.successors(resolve(tail_id)))
+            if new != old:
+                out_rows[tail_id] = new
+                heads.update(map(_first, set(old).symmetric_difference(new)))
+                non_unit += _count_non_unit(new) - _count_non_unit(old)
+        if not out_rows:
+            return self, []
+        in_rows = {
+            head_id: _row(intern_all, graph.predecessors(resolve(head_id)))
+            for head_id in sorted(heads)
+        }
+        derived = CompactGraph.__new__(CompactGraph)
+        derived.interner = self.interner
+        derived.num_nodes = self.num_nodes
+        derived.num_edges = graph.num_edges
+        derived._non_unit = non_unit
+        derived.unit_weighted = non_unit == 0
+        derived.out_offsets, derived.out_targets, derived.out_weights = _splice_rows(
+            self.out_offsets, self.out_targets, self.out_weights, out_rows
+        )
+        derived.in_offsets, derived.in_targets, derived.in_weights = _splice_rows(
+            self.in_offsets, self.in_targets, self.in_weights, in_rows
+        )
+        return derived, list(out_rows)
 
     @staticmethod
     def _pack(
@@ -139,6 +212,22 @@ class CompactGraph:
         k = bisect_left(self.out_targets, head_id, lo, hi)
         return k < hi and self.out_targets[k] == head_id
 
+    def reaching(self, ids: Iterable[int]) -> list[int]:
+        """``ids`` and every id with a non-empty path to one of them,
+        ascending (one backward sweep over the in-CSR)."""
+        offsets, targets = self.in_offsets, self.in_targets
+        seen = bytearray(self.num_nodes)
+        found: list[int] = []
+        stack = list(ids)
+        while stack:
+            node = stack.pop()
+            if not seen[node]:
+                seen[node] = 1
+                found.append(node)
+                stack += targets[offsets[node]:offsets[node + 1]]
+        found.sort()
+        return found
+
     def reached_from(self, sources: range) -> list[int]:
         """Ids reached from any of ``sources`` by a non-empty path, ascending
         (one multi-source forward sweep)."""
@@ -168,7 +257,19 @@ class CompactGraph:
         """Distances *to* ``target`` (backward search), id-sorted."""
         return self._shortest(target, forward=False)
 
-    def _shortest(self, origin: int, forward: bool) -> tuple[array, array]:
+    def shortest_rows(self, sources: Iterable[int]) -> dict[int, tuple[array, array]]:
+        """:meth:`shortest_from` of every source, in order.  The searches
+        share one memo of the successor lists they read, so a batch of
+        overlapping searches (a whole closure, or the rows a refresh
+        recomputes) slices each node's adjacency once."""
+        adjacency: list = [None] * self.num_nodes
+        return {source: self._shortest(source, True, adjacency) for source in sources}
+
+    def _shortest(
+        self, origin: int, forward: bool, adjacency: list | None = None
+    ) -> tuple[array, array]:
+        """One search; ``adjacency`` memoizes unit-weight successor lists
+        across the searches of one :meth:`shortest_rows` call."""
         if forward:
             offsets, targets, weights = (
                 self.out_offsets, self.out_targets, self.out_weights,
@@ -181,19 +282,29 @@ class CompactGraph:
         dist = array("d", bytes(8 * n))  # zero-filled; 0.0 marks "unreached"
         # A distance of 0.0 can never be legitimate (weights are positive
         # and only non-empty paths count), so 0.0 doubles as the sentinel.
+        found: list[int] = []
         if self.unit_weighted:
-            frontier: deque[tuple[int, float]] = deque()
-            for k in range(offsets[origin], offsets[origin + 1]):
-                frontier.append((targets[k], weights[k]))
+            # Level-synchronous BFS: every node first reached on level
+            # ``d`` is at distance ``d``.
+            if adjacency is None:
+                adjacency = [None] * n
+            append = found.append
+            frontier = targets[offsets[origin] : offsets[origin + 1]]
+            d = 1.0
             while frontier:
-                node, d = frontier.popleft()
-                if dist[node] != 0.0:
-                    continue
-                dist[node] = d
-                for k in range(offsets[node], offsets[node + 1]):
-                    nxt = targets[k]
-                    if dist[nxt] == 0.0:
-                        frontier.append((nxt, d + weights[k]))
+                reached: list[int] = []
+                for node in frontier:
+                    if dist[node] == 0.0:
+                        dist[node] = d
+                        append(node)
+                        successors = adjacency[node]
+                        if successors is None:
+                            successors = adjacency[node] = targets[
+                                offsets[node] : offsets[node + 1]
+                            ].tolist()
+                        reached += successors
+                frontier = reached
+                d += 1.0
         else:
             heap: list[tuple[float, int]] = [
                 (weights[k], targets[k])
@@ -205,15 +316,17 @@ class CompactGraph:
                 if dist[node] != 0.0:
                     continue
                 dist[node] = d
+                found.append(node)
                 for k in range(offsets[node], offsets[node + 1]):
                     nxt = targets[k]
                     if dist[nxt] == 0.0:
                         heapq.heappush(heap, (d + weights[k], nxt))
-        return self._collect(dist)
+        return self._collect(dist, found)
 
     @staticmethod
-    def _collect(dist: array) -> tuple[array, array]:
-        """Turn a dense distance buffer into (targets, dists) arrays."""
+    def _collect(dist: array, found: list[int]) -> tuple[array, array]:
+        """Turn a dense distance buffer and its ``found`` ids (unordered)
+        into (targets, dists) arrays."""
         np = numpy_or_none()
         if np is not None:
             vec = np.frombuffer(dist, dtype=np.float64)
@@ -221,10 +334,46 @@ class CompactGraph:
             out_targets = array("i", reached.astype(np.int32).tolist())
             out_dists = array("d", vec[reached].tolist())
             return out_targets, out_dists
-        out_targets = array("i")
-        out_dists = array("d")
-        for node, d in enumerate(dist):
-            if d != 0.0:
-                out_targets.append(node)
-                out_dists.append(d)
-        return out_targets, out_dists
+        found.sort()
+        return array("i", found), array("d", map(dist.__getitem__, found))
+
+
+_first = itemgetter(0)
+_second = itemgetter(1)
+
+
+def _row(intern_all, neighbors) -> list[tuple[int, float]]:
+    """One node's ``{neighbor: weight}`` as id-sorted ``(id, weight)``."""
+    return sorted(zip(intern_all(neighbors), map(float, neighbors.values())))
+
+
+def _count_non_unit(row: list[tuple[int, float]]) -> int:
+    """How many weights of ``row`` are not 1."""
+    return len(row) - list(map(_second, row)).count(1.0)
+
+
+def _splice_rows(
+    offsets, targets, weights, rows: dict[int, list[tuple[int, float]]]
+) -> tuple[array, array, array]:
+    """One CSR direction with the rows of ``rows`` (ids ascending)
+    replaced.  The buffers are copied whole in C, and each replaced row is
+    one slice assignment per buffer, made from the last row back so the
+    base offsets still bound the rows not yet replaced; the offsets are
+    then summed again from the row lengths."""
+    new_targets, new_weights = array_copy("i", targets), array_copy("d", weights)
+    lengths = list(map(sub, offsets[1:], offsets[:-1]))
+    for node in reversed(rows):
+        row = rows[node]
+        lo, hi = offsets[node], offsets[node + 1]
+        new_targets[lo:hi] = array("i", map(_first, row))
+        new_weights[lo:hi] = array("d", map(_second, row))
+        lengths[node] = len(row)
+    return array("i", accumulate(lengths, initial=0)), new_targets, new_weights
+
+
+def array_copy(typecode: str, buffer) -> array:
+    """A new ``array`` holding ``buffer`` (an ``array`` or a typed
+    memoryview over an mmap section), copied in C."""
+    copy = array(typecode)
+    copy.frombytes(memoryview(buffer).cast("B"))
+    return copy

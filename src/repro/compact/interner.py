@@ -30,7 +30,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from itertools import repeat
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from repro.exceptions import GraphError
 from repro.graph.digraph import Label, LabeledDiGraph, NodeId
@@ -126,6 +126,14 @@ class NodeInterner:
         except KeyError as exc:
             raise GraphError(f"node {node!r} is not interned") from exc
 
+    def intern_all(self, nodes: Iterable[NodeId]) -> list[int]:
+        """The ids of ``nodes``, in order (one C-level pass); raises
+        :class:`GraphError` when one is unknown."""
+        try:
+            return list(map(self._ids.__getitem__, nodes))
+        except KeyError as exc:
+            raise GraphError(f"node {exc.args[0]!r} is not interned") from exc
+
     def get(self, node: NodeId) -> int | None:
         """The id of ``node``, or ``None`` when unknown."""
         return self._ids.get(node)
@@ -208,20 +216,6 @@ class NodeInterner:
         """Iterate ``(label, id_range)`` in id order."""
         for label in self._range_labels:
             yield label, self._ranges[label]
-
-    # ------------------------------------------------------------------
-    def same_universe(self, other: "NodeInterner") -> bool:
-        """True when both interners assign identical ids to identical nodes.
-
-        Because the assignment is a pure function of the node/label
-        universe, comparing the decoded node tuples and the label
-        geometry suffices.
-        """
-        return (
-            self._nodes == other._nodes
-            and self._starts == other._starts
-            and self._range_labels == other._range_labels
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

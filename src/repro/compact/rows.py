@@ -41,7 +41,7 @@ class ClosureRows:
     ) -> "ClosureRows":
         """Run one CSR search per source (all nodes when ``None``)."""
         ids = range(cgraph.num_nodes) if source_ids is None else sorted(source_ids)
-        return cls({s: cgraph.shortest_from(s) for s in ids})
+        return cls(cgraph.shortest_rows(ids))
 
     @classmethod
     def from_flat(
@@ -74,6 +74,22 @@ class ClosureRows:
                 dists.append(mapping[source][target])
             rows[source] = (targets, dists)
         return cls(rows)
+
+    def replaced(self, updates: dict[int, Row]) -> "ClosureRows":
+        """These rows with ``updates`` swapped in, every other row shared.
+        Sources stay ascending: a source new to the rows re-sorts them."""
+        rows = self._rows
+        num_pairs = self._num_pairs
+        for source, (targets, _dists) in updates.items():
+            old = rows.get(source)
+            num_pairs += len(targets) - (len(old[0]) if old is not None else 0)
+        merged = {**rows, **updates}
+        if len(merged) > len(rows):
+            merged = dict(sorted(merged.items()))
+        self = ClosureRows.__new__(ClosureRows)
+        self._rows = merged
+        self._num_pairs = num_pairs
+        return self
 
     # ------------------------------------------------------------------
     # Access

@@ -3,10 +3,14 @@
 A delta overlay is readable the moment it is folded onto its base: the
 patched graph is derived (base copy + records), and the base backend is
 asked for a *refreshed* backend.  For backends with incremental refresh
-(the ``full`` closure) this shares every unaffected closure-row array
-with the base and recomputes only the rows the changed CSR adjacency
-can have moved — the overlay literally patches closure-row lookups at
-read time, one shared-arrays engine per fold.  Rebuild-only backends
+(the ``full`` closure) a fold costs in proportion to its batch: the CSR
+is derived from the base one with only the changed rows packed again,
+the rows to recompute are the changed tails and their ancestors (one
+backward sweep), every other closure-row array is shared with the base,
+and the store patches only the head groups whose entries moved — one
+shared-arrays engine per fold.  Whether the node set stayed the same is
+read off the batch (no ``NodeAdd``; in :func:`fold_graph`, no departed
+node), not found by interning the graph again.  Rebuild-only backends
 fall back to a fresh build, and so does any fold containing label
 changes (interned ids are label-sorted, so a relabel moves the whole
 columnar layout).
@@ -131,6 +135,7 @@ def _refreshed_fold(
         base.config,
         edges_added=edges_added,
         edges_removed=edges_removed,
+        nodes_added=tuple(nodes_added),
     )
     engine = MatchEngine(graph, base.config, _backend=refresh.backend)
     affected = refresh.affected_labels

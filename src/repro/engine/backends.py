@@ -96,8 +96,13 @@ class ReachabilityBackend(Protocol):
         *,
         edges_added: tuple = (),
         edges_removed: tuple = (),
+        nodes_added: tuple = (),
     ) -> BackendRefresh:
-        """A backend of the same kind over the updated ``graph``."""
+        """A backend of the same kind over the updated ``graph``: the
+        base graph plus ``nodes_added`` (node ids), ``edges_added``
+        (``(tail, head, weight)``) and ``edges_removed`` (``(tail,
+        head)``).  A relabel or a node departure never comes here: the
+        fold rebuilds for those."""
         ...
 
 
@@ -121,6 +126,7 @@ class _BackendBase:
         *,
         edges_added: tuple = (),
         edges_removed: tuple = (),
+        nodes_added: tuple = (),
     ) -> BackendRefresh:
         """Rebuild this backend kind over the updated ``graph``.
 
@@ -183,26 +189,31 @@ class FullClosureBackend(_BackendBase):
         *,
         edges_added: tuple = (),
         edges_removed: tuple = (),
+        nodes_added: tuple = (),
     ) -> BackendRefresh:
         """Incremental refresh: recompute only the affected closure rows,
-        and lay out only the pair tables they touch.
+        and patch only the head groups their moved entries touch.
 
         A source row changes only if it can reach the tail of a changed
         edge, so :meth:`TransitiveClosure.refreshed` carries every other
         row over verbatim and reports exactly which labels saw a distance
-        change — the selective result-cache invalidation signal.  It also
-        reports the label pairs whose tables those rows touch; the new
-        :class:`ClosureStore` adopts every other table of this one, with
-        its memoized views, and rebuilds only those.  When a node joins or
-        leaves, the interned ids move and every table is rebuilt.
+        change — the selective result-cache invalidation signal.  A batch
+        without ``nodes_added`` keeps the node set, so the closure keeps
+        the interned ids and derives its CSR from this one; it reports the
+        head groups whose entries moved, and the new :class:`ClosureStore`
+        adopts every other table of this one, with its memoized views,
+        and rebuilds only those groups.  When a node joins, the ids move
+        and every table is rebuilt.
         """
         changed_tails = {
             edge[0] for edge in tuple(edges_added) + tuple(edges_removed)
         }
-        closure, rows, affected, dirty = self._closure.refreshed(graph, changed_tails)
+        closure, rows, affected, dirty = self._closure.refreshed(
+            graph, changed_tails, same_nodes=not nodes_added
+        )
         return BackendRefresh(
             backend=FullClosureBackend(
-                graph, config, closure=closure, base_store=self._store, dirty_pairs=dirty
+                graph, config, closure=closure, base_store=self._store, dirty_groups=dirty
             ),
             incremental=True,
             rows_recomputed=rows,
@@ -217,7 +228,7 @@ class FullClosureBackend(_BackendBase):
         store: ClosureStore | None = None,
         *,
         base_store: ClosureStore | None = None,
-        dirty_pairs: frozenset | None = None,
+        dirty_groups: dict | None = None,
     ) -> None:
         super().__init__()
         started = time.perf_counter()
@@ -227,11 +238,11 @@ class FullClosureBackend(_BackendBase):
             # no closure recompute, no block layout work.
             self._store = store
         else:
-            # A refresh (see :meth:`refreshed`) adopts the clean tables of
-            # ``base_store``; otherwise every table is laid out.
+            # A refresh (see :meth:`refreshed`) patches the dirty groups
+            # of ``base_store``; otherwise every table is laid out.
             self._store = ClosureStore(
                 graph, self._closure, block_size=config.block_size,
-                base=base_store, dirty_pairs=dirty_pairs,
+                base=base_store, dirty_groups=dirty_groups,
             )
         self.build_seconds = time.perf_counter() - started
 

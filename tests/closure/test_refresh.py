@@ -1,20 +1,25 @@
-"""Table-granular store refresh: a refreshed store is a fresh store.
+"""Group-level store refresh: a refreshed store is a fresh store.
 
-:meth:`TransitiveClosure.refreshed` reports the label pairs whose pair
-tables its recomputed rows touch; :class:`ClosureStore` adopts every
-other table of the base store, with its memoized views, and lays out
-only those.  These tests pin the contract: after any edge batch the
-refreshed store has the tables, columns, leaf views and tail-label index
-a fresh build has; a batch that moves interned ids (a node add or a
-relabel) rebuilds every table; and composed edge views carry over
-exactly when none of their pairs is dirty, with answers equal to a fresh
-engine's.
+:meth:`TransitiveClosure.refreshed` derives its CSR from the base one
+(:meth:`CompactGraph.patched`) and reports the head groups whose entries
+moved; :class:`ClosureStore` adopts every other table of the base store,
+with its memoized views, and rebuilds only those groups.  These tests pin
+the contract: the derived CSR equals a freshly packed one; after any
+edge batch, on DAGs and cyclic graphs, over in-memory, mmap-loaded and
+JSON-loaded bases, the refreshed store has the tables, columns, leaf
+views and tail-label index a fresh build has; a batch that moves
+interned ids (a node add or a relabel) rebuilds every table; and
+composed edge views carry over exactly when none of their pairs is
+dirty, with answers equal to a fresh engine's.
 """
 
 from __future__ import annotations
 
 import hashlib
+import tempfile
 from pathlib import Path
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +27,7 @@ from hypothesis import strategies as st
 from repro import MatchEngine, MatchService
 from repro.closure.store import ClosureStore
 from repro.closure.transitive import TransitiveClosure
+from repro.compact import CompactGraph, NodeInterner
 from repro.delta.records import EdgeAdd, EdgeRemove, LabelChange, NodeAdd
 from repro.delta.view import apply_records, fold
 from repro.graph.digraph import graph_from_edges
@@ -29,6 +35,9 @@ from repro.graph.generators import citation_graph
 from tests.strategies import FUZZ_EXAMPLES
 
 COLUMNS = ("tails", "dists", "direct", "heads", "offsets", "e_tails", "e_heads", "e_dists")
+CSR_BUFFERS = (
+    "out_offsets", "out_targets", "out_weights", "in_offsets", "in_targets", "in_weights",
+)
 
 
 def assert_same_store(got: ClosureStore, graph) -> None:
@@ -55,8 +64,11 @@ def refresh(store: ClosureStore, graph, records):
     updated = graph.copy()
     apply_records(updated, records)
     tails = {r.tail for r in records if isinstance(r, (EdgeAdd, EdgeRemove))}
-    closure, _rows, _affected, dirty = store.closure.refreshed(updated, tails)
-    refreshed = ClosureStore(updated, closure, base=store, dirty_pairs=dirty)
+    same_nodes = not any(isinstance(r, (NodeAdd, LabelChange)) for r in records)
+    closure, _rows, _affected, dirty = store.closure.refreshed(
+        updated, tails, same_nodes=same_nodes
+    )
+    refreshed = ClosureStore(updated, closure, base=store, dirty_groups=dirty)
     return updated, refreshed, dirty
 
 
@@ -69,35 +81,94 @@ def warm(store: ClosureStore) -> None:
 
 
 @st.composite
-def dags_and_batches(draw):
-    """A small labelled DAG (edges run from higher to lower ids) and a
-    batch of edge adds, removes and re-weights that keeps it a DAG."""
+def graphs_and_batches(draw, cyclic: bool = False):
+    """A small labelled graph and a batch of edge adds, removes,
+    re-weights and re-adds of present edges (a parallel edge keeps the
+    minimum weight).  Without ``cyclic`` edges run from higher to lower
+    ids and the batch keeps the graph a DAG; with it any two distinct
+    nodes may be joined, so a source can appear in its own row.  Weights
+    are mostly 1, so batches flip ``unit_weighted`` both ways."""
     n = draw(st.integers(3, 9))
     labels = {v: draw(st.sampled_from("ABCD")) for v in range(n)}
-    pairs = [(t, h) for t in range(n) for h in range(t)]
+    pairs = [(t, h) for t in range(n) for h in range(n) if (t != h if cyclic else h < t)]
+    weight = st.sampled_from((1, 1, 1, 2, 3))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=14))
-    weights = {edge: draw(st.integers(1, 3)) for edge in edges}
+    weights = {edge: draw(weight) for edge in edges}
     graph = graph_from_edges(labels, [(t, h, weights[(t, h)]) for t, h in edges])
     records = []
     present = dict(weights)
     for _ in range(draw(st.integers(1, 4))):
         edge = draw(st.sampled_from(pairs))
-        kind = draw(st.sampled_from(("add", "remove", "reweight")))
-        if edge in present and kind != "add":
+        kind = draw(st.sampled_from(("add", "remove", "reweight", "readd")))
+        if edge in present and kind == "readd":
+            records.append(EdgeAdd(*edge, draw(weight)))
+            present[edge] = min(present[edge], records[-1].weight)
+        elif edge in present and kind != "add":
             records.append(EdgeRemove(*edge))
             del present[edge]
             if kind == "reweight":
-                weight = draw(st.integers(1, 3))
-                records.append(EdgeAdd(*edge, weight))
-                present[edge] = weight
+                records.append(EdgeAdd(*edge, draw(weight)))
+                present[edge] = records[-1].weight
         elif edge not in present:
-            weight = draw(st.integers(1, 3))
-            records.append(EdgeAdd(*edge, weight))
-            present[edge] = weight
+            records.append(EdgeAdd(*edge, draw(weight)))
+            present[edge] = records[-1].weight
     return graph, records
 
 
-@given(case=dags_and_batches())
+def assert_same_csr(got: CompactGraph, graph) -> None:
+    """``got`` equals the CSR freshly packed from ``graph`` over its ids."""
+    fresh = CompactGraph(graph, got.interner)
+    for name in CSR_BUFFERS:
+        assert bytes(getattr(got, name)) == bytes(getattr(fresh, name)), name
+    assert got.num_edges == fresh.num_edges == graph.num_edges
+    assert got.unit_weighted is fresh.unit_weighted is graph.is_unit_weighted()
+
+
+@given(case=graphs_and_batches(cyclic=True))
+@settings(max_examples=max(FUZZ_EXAMPLES, 100), deadline=None)
+def test_a_patched_csr_equals_a_fresh_one(case):
+    graph, records = case
+    base = CompactGraph(graph, NodeInterner.from_graph(graph))
+    updated = graph.copy()
+    apply_records(updated, records)
+    derived, moved = base.patched(updated, {record.tail for record in records})
+    assert_same_csr(derived, updated)
+    assert moved == sorted(
+        tail_id
+        for tail_id in range(base.num_nodes)
+        if list(base.out_edges(tail_id)) != list(derived.out_edges(tail_id))
+    )
+    if not moved:
+        assert derived is base
+
+
+@pytest.mark.parametrize(
+    ("edges", "records", "unit"),
+    [
+        # Removing the only non-unit edge makes the graph unit-weighted.
+        ([(0, 1, 1), (1, 2, 3)], [EdgeRemove(1, 2)], True),
+        # A lighter parallel edge makes it unit-weighted too.
+        ([(0, 1, 1), (1, 2, 3)], [EdgeAdd(1, 2, 1)], True),
+        # Adding a heavy edge makes it weighted.
+        ([(0, 1, 1), (1, 2, 1)], [EdgeAdd(2, 0, 2)], False),
+        # Re-adding an edge at a larger weight moves nothing.
+        ([(0, 1, 1), (1, 2, 1)], [EdgeAdd(0, 1, 5)], True),
+    ],
+)
+def test_a_patched_csr_keeps_unit_weighted_exact(edges, records, unit):
+    graph = graph_from_edges({0: "A", 1: "B", 2: "C"}, edges)
+    store = ClosureStore(graph, TransitiveClosure(graph))
+    updated, refreshed, _dirty = refresh(store, graph, records)
+    cgraph = refreshed.closure.compact_graph
+    assert cgraph.unit_weighted is unit
+    assert_same_csr(cgraph, updated)
+    assert_same_store(refreshed, updated)
+    if records == [EdgeAdd(0, 1, 5)]:
+        assert cgraph is store.closure.compact_graph
+        assert refreshed._pair_tables == store._pair_tables
+
+
+@given(case=st.booleans().flatmap(graphs_and_batches))
 @settings(max_examples=max(FUZZ_EXAMPLES, 100), deadline=None)
 def test_refreshed_store_equals_a_fresh_store(case):
     graph, records = case
@@ -110,6 +181,41 @@ def test_refreshed_store_equals_a_fresh_store(case):
         if pair not in dirty:
             assert table is store._pair_tables[pair], pair
     assert_same_store(refreshed, updated)
+    assert_same_csr(refreshed.closure.compact_graph, updated)
+
+
+def stringified(graph, records):
+    """``graph`` and ``records`` with every node id made a string (a JSON
+    index keeps string ids only)."""
+    labels = {str(node): graph.label(node) for node in graph.nodes()}
+    edges = [(str(tail), str(head), weight) for tail, head, weight in graph.edges()]
+    renamed = [
+        EdgeAdd(str(r.tail), str(r.head), r.weight)
+        if isinstance(r, EdgeAdd)
+        else EdgeRemove(str(r.tail), str(r.head))
+        for r in records
+    ]
+    return graph_from_edges(labels, edges), renamed
+
+
+@given(case=graphs_and_batches(cyclic=True), form=st.sampled_from(("binary", "json")))
+@settings(max_examples=max(FUZZ_EXAMPLES // 2, 30), deadline=None)
+def test_a_loaded_engine_folds_to_a_fresh_store(case, form):
+    """Folding into an engine loaded from an mmap ``.ridx`` (columns are
+    memoryviews over the file) or a JSON index (no rows for sinks) gives
+    the store and CSR of a fresh build."""
+    graph, records = stringified(*case)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "index"
+        MatchEngine(graph, backend="full").save_index(path, format=form)
+        loaded = MatchEngine.load(path)
+        result = fold(loaded, records)
+        folded = result.engine
+        assert_same_store(folded.store, folded.graph)
+        assert_same_csr(folded.closure.compact_graph, folded.graph)
+        fresh = MatchEngine(folded.graph, backend="full")
+        for query in ("A//B", "B//A", "A/C"):
+            assert exact(folded.top_k(query, 5)) == exact(fresh.top_k(query, 5)), query
 
 
 def path_graph():
@@ -163,7 +269,7 @@ def test_a_json_loaded_engine_folds_an_edge_from_a_sink(tmp_path):
 def test_a_different_block_size_rebuilds_every_table():
     graph = path_graph()
     store = ClosureStore(graph, TransitiveClosure(graph))
-    refreshed = ClosureStore(graph, store.closure, block_size=2, base=store, dirty_pairs=frozenset())
+    refreshed = ClosureStore(graph, store.closure, block_size=2, base=store, dirty_groups={})
     assert not set(map(id, store._pair_tables.values())) & set(
         map(id, refreshed._pair_tables.values())
     )

@@ -131,5 +131,5 @@ class TestProperties:
     def test_deterministic_across_builds(self, graph):
         a = NodeInterner.from_graph(graph)
         b = NodeInterner.from_graph(graph.copy())
-        assert a.same_universe(b)
         assert a.nodes() == b.nodes()
+        assert list(a.label_ranges()) == list(b.label_ranges())
